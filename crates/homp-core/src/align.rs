@@ -13,14 +13,14 @@
 //! is concrete (BLOCK / AUTO / FULL). Cycles and dangling targets are
 //! errors.
 
-use crate::dist::Distribution;
 use homp_lang::DistPolicy;
-use std::collections::HashMap;
 
-/// A node in the alignment graph.
-#[derive(Debug, Clone)]
-struct Node {
-    policy: DistPolicy,
+/// How a node's distribution is decided: by its own concrete policy, or
+/// by copying another node's (`ALIGN`).
+#[derive(Debug, Clone, Copy)]
+enum Link<'a> {
+    Root(&'a DistPolicy),
+    Align { target: &'a str, ratio: u64 },
 }
 
 /// Error building or resolving the graph.
@@ -37,8 +37,6 @@ pub enum AlignError {
     Cycle(Vec<String>),
     /// The same entity was registered twice.
     Duplicate(String),
-    /// A root node needs a concrete distribution but none was supplied.
-    UnresolvedRoot(String),
 }
 
 impl std::fmt::Display for AlignError {
@@ -49,9 +47,6 @@ impl std::fmt::Display for AlignError {
             }
             AlignError::Cycle(path) => write!(f, "alignment cycle: {}", path.join(" -> ")),
             AlignError::Duplicate(n) => write!(f, "entity `{n}` registered twice"),
-            AlignError::UnresolvedRoot(n) => {
-                write!(f, "root entity `{n}` has no concrete distribution")
-            }
         }
     }
 }
@@ -59,94 +54,92 @@ impl std::fmt::Display for AlignError {
 impl std::error::Error for AlignError {}
 
 /// The alignment graph for one offload region.
+///
+/// Nodes borrow their names and policies from the region, and a region
+/// names only a handful of entities, so lookup is a linear scan and the
+/// graph allocates one `Vec` — strings are built only for errors.
 #[derive(Debug, Clone, Default)]
-pub struct AlignGraph {
-    nodes: HashMap<String, Node>,
+pub struct AlignGraph<'a> {
+    nodes: Vec<(&'a str, Link<'a>)>,
 }
 
-impl AlignGraph {
-    /// Empty graph.
-    pub fn new() -> Self {
-        Self::default()
+impl<'a> AlignGraph<'a> {
+    /// Empty graph with room for `n` entities.
+    pub fn with_capacity(n: usize) -> Self {
+        Self { nodes: Vec::with_capacity(n) }
     }
 
     /// Register an entity (loop label or array-dimension name) with its
     /// source-level policy.
-    pub fn add(&mut self, name: impl Into<String>, policy: DistPolicy) -> Result<(), AlignError> {
-        let name = name.into();
-        if self.nodes.contains_key(&name) {
-            return Err(AlignError::Duplicate(name));
+    pub fn add(&mut self, name: &'a str, policy: &'a DistPolicy) -> Result<(), AlignError> {
+        let link = match policy {
+            DistPolicy::Align { target, ratio } => Link::Align { target, ratio: *ratio },
+            root => Link::Root(root),
+        };
+        self.insert(name, link)
+    }
+
+    /// Register an entity that aligns with `target`, scaled by `ratio`.
+    pub fn add_aligned(
+        &mut self,
+        name: &'a str,
+        target: &'a str,
+        ratio: u64,
+    ) -> Result<(), AlignError> {
+        self.insert(name, Link::Align { target, ratio })
+    }
+
+    fn insert(&mut self, name: &'a str, link: Link<'a>) -> Result<(), AlignError> {
+        if self.link(name).is_some() {
+            return Err(AlignError::Duplicate(name.to_string()));
         }
-        self.nodes.insert(name, Node { policy });
+        self.nodes.push((name, link));
         Ok(())
+    }
+
+    fn link(&self, name: &str) -> Option<(&'a str, Link<'a>)> {
+        self.nodes.iter().find(|(n, _)| *n == name).copied()
     }
 
     /// Resolve `name` to its root alignee, returning
     /// `(root name, accumulated ratio, root policy)`. The accumulated
     /// ratio is the product of the `ALIGN` ratios along the chain.
-    pub fn resolve_root(&self, name: &str) -> Result<(String, u64, DistPolicy), AlignError> {
-        let mut path = vec![name.to_string()];
-        let mut current = name.to_string();
+    pub fn resolve_root(&self, name: &str) -> Result<(&'a str, u64, &'a DistPolicy), AlignError> {
+        let (mut from, mut current) = (name, name);
         let mut ratio = 1u64;
-        loop {
-            let node = self.nodes.get(&current).ok_or_else(|| AlignError::UnknownTarget {
-                from: path[path.len().saturating_sub(2).min(path.len() - 1)].clone(),
-                target: current.clone(),
+        // A chain without a cycle visits each node at most once.
+        for _ in 0..=self.nodes.len() {
+            let (found, link) = self.link(current).ok_or_else(|| AlignError::UnknownTarget {
+                from: from.to_string(),
+                target: current.to_string(),
             })?;
-            match &node.policy {
-                DistPolicy::Align { target, ratio: r } => {
-                    ratio *= r;
-                    if path.contains(target) {
-                        path.push(target.clone());
-                        return Err(AlignError::Cycle(path));
-                    }
-                    path.push(target.clone());
-                    current = target.clone();
+            match link {
+                Link::Root(policy) => return Ok((found, ratio, policy)),
+                Link::Align { target, ratio: r } => {
+                    // Saturating: a cycle is walked n + 1 times before it
+                    // is reported, and must not overflow on the way.
+                    ratio = ratio.saturating_mul(r);
+                    (from, current) = (current, target);
                 }
-                concrete => return Ok((current.clone(), ratio, concrete.clone())),
             }
         }
+        Err(AlignError::Cycle(self.cycle_path(name)))
     }
 
-    /// Resolve every registered entity to a concrete [`Distribution`].
-    ///
-    /// `roots` supplies the distribution of each root entity (for BLOCK
-    /// roots the caller typically passes `Distribution::block`, for AUTO
-    /// loop roots the scheduler's output, for FULL a replication).
-    /// Aligners receive the root's distribution scaled by the chain
-    /// ratio.
-    pub fn resolve_all(
-        &self,
-        roots: &HashMap<String, Distribution>,
-    ) -> Result<HashMap<String, Distribution>, AlignError> {
-        let mut out = HashMap::new();
-        for name in self.nodes.keys() {
-            let (root, ratio, _policy) = self.resolve_root(name)?;
-            let base = roots
-                .get(&root)
-                .ok_or_else(|| AlignError::UnresolvedRoot(root.clone()))?;
-            let dist = if ratio == 1 { base.clone() } else { base.scaled(ratio) };
-            out.insert(name.clone(), dist);
+    /// The chain from `name` up to and including the first repeated
+    /// entity. Only called once a cycle is known to exist.
+    fn cycle_path(&self, name: &str) -> Vec<String> {
+        let mut path = vec![name.to_string()];
+        let mut current = name;
+        while let Some((_, Link::Align { target, .. })) = self.link(current) {
+            let repeat = path.iter().any(|p| p == target);
+            path.push(target.to_string());
+            if repeat {
+                break;
+            }
+            current = target;
         }
-        Ok(out)
-    }
-
-    /// Names of all root entities (non-ALIGN policies) with their
-    /// policies.
-    pub fn roots(&self) -> Vec<(String, DistPolicy)> {
-        let mut v: Vec<(String, DistPolicy)> = self
-            .nodes
-            .iter()
-            .filter(|(_, n)| !matches!(n.policy, DistPolicy::Align { .. }))
-            .map(|(k, n)| (k.clone(), n.policy.clone()))
-            .collect();
-        v.sort_by(|a, b| a.0.cmp(&b.0));
-        v
-    }
-
-    /// Whether `name` is registered.
-    pub fn contains(&self, name: &str) -> bool {
-        self.nodes.contains_key(name)
+        path
     }
 }
 
@@ -161,121 +154,83 @@ mod tests {
     #[test]
     fn v1_style_loop_aligns_with_array() {
         // axpy_homp_v1: x,y are BLOCK; loop ALIGN(x).
-        let mut g = AlignGraph::new();
-        g.add("x", DistPolicy::Block).unwrap();
-        g.add("y", DistPolicy::Block).unwrap();
-        g.add("loop", align("x")).unwrap();
-        let (root, ratio, policy) = g.resolve_root("loop").unwrap();
-        assert_eq!(root, "x");
-        assert_eq!(ratio, 1);
-        assert_eq!(policy, DistPolicy::Block);
-
-        let mut roots = HashMap::new();
-        roots.insert("x".into(), Distribution::block(100, 4));
-        roots.insert("y".into(), Distribution::block(100, 4));
-        let resolved = g.resolve_all(&roots).unwrap();
-        assert_eq!(resolved["loop"], Distribution::block(100, 4));
+        let mut g = AlignGraph::default();
+        g.add("x", &DistPolicy::Block).unwrap();
+        g.add("y", &DistPolicy::Block).unwrap();
+        g.add_aligned("loop", "x", 1).unwrap();
+        assert_eq!(g.resolve_root("loop").unwrap(), ("x", 1, &DistPolicy::Block));
+        assert_eq!(g.resolve_root("y").unwrap(), ("y", 1, &DistPolicy::Block));
     }
 
     #[test]
     fn v2_style_arrays_align_with_loop() {
         // axpy_homp_v2: loop AUTO; x,y ALIGN(loop).
-        let mut g = AlignGraph::new();
-        g.add("loop", DistPolicy::Auto).unwrap();
-        g.add("x", align("loop")).unwrap();
-        g.add("y", align("loop")).unwrap();
-        let auto = Distribution::from_counts(100, &[70, 20, 10, 0]);
-        let mut roots = HashMap::new();
-        roots.insert("loop".into(), auto.clone());
-        let resolved = g.resolve_all(&roots).unwrap();
-        assert_eq!(resolved["x"], auto);
-        assert_eq!(resolved["y"], auto);
+        let to_loop = align("loop");
+        let mut g = AlignGraph::default();
+        g.add("loop", &DistPolicy::Auto).unwrap();
+        g.add("x", &to_loop).unwrap();
+        g.add("y", &to_loop).unwrap();
+        assert_eq!(g.resolve_root("x").unwrap(), ("loop", 1, &DistPolicy::Auto));
+        assert_eq!(g.resolve_root("y").unwrap(), ("loop", 1, &DistPolicy::Auto));
     }
 
     #[test]
     fn chains_relink_to_root() {
         // y ALIGN(x), x ALIGN(loop), loop BLOCK — both resolve to loop.
-        let mut g = AlignGraph::new();
-        g.add("loop", DistPolicy::Block).unwrap();
-        g.add("x", align("loop")).unwrap();
-        g.add("y", align("x")).unwrap();
+        let (to_loop, to_x) = (align("loop"), align("x"));
+        let mut g = AlignGraph::default();
+        g.add("loop", &DistPolicy::Block).unwrap();
+        g.add("x", &to_loop).unwrap();
+        g.add("y", &to_x).unwrap();
         let (root, _, _) = g.resolve_root("y").unwrap();
         assert_eq!(root, "loop");
     }
 
     #[test]
     fn ratios_multiply_along_chain() {
-        let mut g = AlignGraph::new();
-        g.add("loop", DistPolicy::Block).unwrap();
-        g.add("x", DistPolicy::Align { target: "loop".into(), ratio: 2 }).unwrap();
-        g.add("y", DistPolicy::Align { target: "x".into(), ratio: 3 }).unwrap();
+        let mut g = AlignGraph::default();
+        g.add("loop", &DistPolicy::Block).unwrap();
+        g.add_aligned("x", "loop", 2).unwrap();
+        g.add_aligned("y", "x", 3).unwrap();
         let (root, ratio, _) = g.resolve_root("y").unwrap();
         assert_eq!(root, "loop");
         assert_eq!(ratio, 6);
-
-        let mut roots = HashMap::new();
-        roots.insert("loop".into(), Distribution::block(10, 2));
-        let resolved = g.resolve_all(&roots).unwrap();
-        assert_eq!(resolved["y"].total(), 60);
-        assert_eq!(resolved["y"].range(0).end, 30);
     }
 
     #[test]
     fn cycle_detected() {
-        let mut g = AlignGraph::new();
-        g.add("a", align("b")).unwrap();
-        g.add("b", align("a")).unwrap();
-        match g.resolve_root("a") {
-            Err(AlignError::Cycle(path)) => {
-                assert_eq!(path.first().unwrap(), "a");
-                assert_eq!(path.last().unwrap(), "a");
-            }
-            other => panic!("expected cycle, got {other:?}"),
-        }
+        let (to_a, to_b) = (align("a"), align("b"));
+        let mut g = AlignGraph::default();
+        g.add("a", &to_b).unwrap();
+        g.add("b", &to_a).unwrap();
+        assert_eq!(
+            g.resolve_root("a"),
+            Err(AlignError::Cycle(vec!["a".into(), "b".into(), "a".into()]))
+        );
     }
 
     #[test]
     fn self_alignment_is_a_cycle() {
-        let mut g = AlignGraph::new();
-        g.add("a", align("a")).unwrap();
-        assert!(matches!(g.resolve_root("a"), Err(AlignError::Cycle(_))));
+        let mut g = AlignGraph::default();
+        g.add_aligned("a", "a", 1).unwrap();
+        assert_eq!(g.resolve_root("a"), Err(AlignError::Cycle(vec!["a".into(), "a".into()])));
     }
 
     #[test]
     fn unknown_target_reported() {
-        let mut g = AlignGraph::new();
-        g.add("loop", align("ghost")).unwrap();
+        let mut g = AlignGraph::default();
+        g.add_aligned("loop", "x", 1).unwrap();
+        g.add_aligned("x", "ghost", 1).unwrap();
         assert_eq!(
             g.resolve_root("loop"),
-            Err(AlignError::UnknownTarget { from: "loop".into(), target: "ghost".into() })
+            Err(AlignError::UnknownTarget { from: "x".into(), target: "ghost".into() })
         );
     }
 
     #[test]
     fn duplicate_rejected() {
-        let mut g = AlignGraph::new();
-        g.add("x", DistPolicy::Block).unwrap();
-        assert_eq!(g.add("x", DistPolicy::Full), Err(AlignError::Duplicate("x".into())));
-    }
-
-    #[test]
-    fn roots_listed() {
-        let mut g = AlignGraph::new();
-        g.add("loop", DistPolicy::Auto).unwrap();
-        g.add("x", align("loop")).unwrap();
-        g.add("f", DistPolicy::Full).unwrap();
-        let roots = g.roots();
-        assert_eq!(
-            roots,
-            vec![("f".to_string(), DistPolicy::Full), ("loop".to_string(), DistPolicy::Auto)]
-        );
-    }
-
-    #[test]
-    fn missing_root_distribution_is_error() {
-        let mut g = AlignGraph::new();
-        g.add("loop", DistPolicy::Auto).unwrap();
-        let err = g.resolve_all(&HashMap::new()).unwrap_err();
-        assert_eq!(err, AlignError::UnresolvedRoot("loop".into()));
+        let mut g = AlignGraph::default();
+        g.add("x", &DistPolicy::Block).unwrap();
+        assert_eq!(g.add("x", &DistPolicy::Full), Err(AlignError::Duplicate("x".into())));
     }
 }

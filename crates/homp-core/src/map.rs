@@ -19,7 +19,7 @@
 
 use crate::align::{AlignError, AlignGraph};
 use crate::dist::Distribution;
-use crate::offload::OffloadRegion;
+use crate::offload::{ArrayMap, OffloadRegion};
 use homp_lang::DistPolicy;
 
 /// Error building a [`DataPlan`].
@@ -116,13 +116,19 @@ pub struct ArrayCost {
     pub total_bytes: u64,
 }
 
+/// Fixed (iteration-independent) bytes of one slot.
+#[derive(Debug, Clone, Copy)]
+struct SlotBytes {
+    h2d: u64,
+    d2h: u64,
+    alloc: u64,
+}
+
 /// Byte-accounting plan for one offload region on `n_devices` devices.
 #[derive(Debug, Clone)]
 pub struct DataPlan {
     n_devices: usize,
-    h2d_fixed: Vec<u64>,
-    d2h_fixed: Vec<u64>,
-    alloc_fixed: Vec<u64>,
+    fixed: Vec<SlotBytes>,
     h2d_per_iter: f64,
     d2h_per_iter: f64,
     alloc_per_iter: f64,
@@ -136,14 +142,11 @@ impl DataPlan {
     /// devices.
     pub fn new(region: &OffloadRegion, n_devices: usize) -> Result<DataPlan, PlanError> {
         // ---- alignment graph -------------------------------------------
-        let mut graph = AlignGraph::new();
-        let loop_policy = match &region.loop_align {
-            Some((target, ratio)) => {
-                DistPolicy::Align { target: target.clone(), ratio: *ratio }
-            }
-            None => DistPolicy::Auto,
-        };
-        graph.add(region.loop_label.clone(), loop_policy)?;
+        let mut graph = AlignGraph::with_capacity(region.arrays.len() + 1);
+        match &region.loop_align {
+            Some((target, ratio)) => graph.add_aligned(&region.loop_label, target, *ratio)?,
+            None => graph.add(&region.loop_label, &DistPolicy::Auto)?,
+        }
         for a in &region.arrays {
             let policy = match a.distributed_dim() {
                 Some(d) => {
@@ -155,29 +158,28 @@ impl DataPlan {
                     {
                         return Err(PlanError::MultipleDistributedDims(a.name.clone()));
                     }
-                    a.partition[d].clone()
+                    &a.partition[d]
                 }
-                None => DistPolicy::Full,
+                None => &DistPolicy::Full,
             };
             if matches!(policy, DistPolicy::Auto) {
                 return Err(PlanError::AutoOnArray(a.name.clone()));
             }
-            graph.add(a.name.clone(), policy)?;
+            graph.add(&a.name, policy)?;
         }
 
         let (loop_root, loop_ratio, _) = graph.resolve_root(&region.loop_label)?;
 
+        let scalars = region.scalar_bytes;
         let mut plan = DataPlan {
             n_devices,
-            h2d_fixed: vec![region.scalar_bytes; n_devices],
-            d2h_fixed: vec![0; n_devices],
-            alloc_fixed: vec![region.scalar_bytes; n_devices],
+            fixed: vec![SlotBytes { h2d: scalars, d2h: 0, alloc: scalars }; n_devices],
             h2d_per_iter: 0.0,
             d2h_per_iter: 0.0,
             alloc_per_iter: 0.0,
             halos: Vec::new(),
-            scalar_bytes: region.scalar_bytes,
-            per_array: Vec::new(),
+            scalar_bytes: scalars,
+            per_array: Vec::with_capacity(region.arrays.len()),
         };
 
         for a in &region.arrays {
@@ -192,26 +194,14 @@ impl DataPlan {
                     });
                 }
             }
-            match dd {
+            let kind = match dd {
                 None => {
                     // Replicated: whole array to every device.
                     let b = a.total_bytes();
                     for s in 0..n_devices {
-                        if a.copies_in() {
-                            plan.h2d_fixed[s] += b;
-                        }
-                        if a.copies_out() {
-                            plan.d2h_fixed[s] += b;
-                        }
-                        plan.alloc_fixed[s] += b;
+                        plan.add_fixed(s, a, b);
                     }
-                    plan.per_array.push(ArrayCost {
-                        name: a.name.clone(),
-                        kind: ArrayCostKind::Replicated,
-                        copies_in: a.copies_in(),
-                        copies_out: a.copies_out(),
-                        total_bytes: b,
-                    });
+                    ArrayCostKind::Replicated
                 }
                 Some(d) => {
                     let (root, ratio, root_policy) = graph.resolve_root(&a.name)?;
@@ -235,13 +225,7 @@ impl DataPlan {
                             plan.d2h_per_iter += per_iter;
                         }
                         plan.alloc_per_iter += per_iter;
-                        plan.per_array.push(ArrayCost {
-                            name: a.name.clone(),
-                            kind: ArrayCostKind::LoopAligned { bytes_per_iter: per_iter },
-                            copies_in: a.copies_in(),
-                            copies_out: a.copies_out(),
-                            total_bytes: a.total_bytes(),
-                        });
+                        ArrayCostKind::LoopAligned { bytes_per_iter: per_iter }
                     } else {
                         // Independent root: concrete distribution now.
                         let dist = match root_policy {
@@ -254,30 +238,36 @@ impl DataPlan {
                             }
                         };
                         let slab = a.slab_bytes(d);
-                        let mut per_slot = Vec::with_capacity(n_devices);
-                        for s in 0..n_devices {
-                            let b = dist.range(s).len() * slab;
-                            if a.copies_in() {
-                                plan.h2d_fixed[s] += b;
-                            }
-                            if a.copies_out() {
-                                plan.d2h_fixed[s] += b;
-                            }
-                            plan.alloc_fixed[s] += b;
-                            per_slot.push(b);
+                        let per_slot: Vec<u64> =
+                            (0..n_devices).map(|s| dist.range(s).len() * slab).collect();
+                        for (s, &b) in per_slot.iter().enumerate() {
+                            plan.add_fixed(s, a, b);
                         }
-                        plan.per_array.push(ArrayCost {
-                            name: a.name.clone(),
-                            kind: ArrayCostKind::Independent { per_slot },
-                            copies_in: a.copies_in(),
-                            copies_out: a.copies_out(),
-                            total_bytes: a.total_bytes(),
-                        });
+                        ArrayCostKind::Independent { per_slot }
                     }
                 }
-            }
+            };
+            plan.per_array.push(ArrayCost {
+                name: a.name.clone(),
+                kind,
+                copies_in: a.copies_in(),
+                copies_out: a.copies_out(),
+                total_bytes: a.total_bytes(),
+            });
         }
         Ok(plan)
+    }
+
+    /// Charge `bytes` of array `a` to slot `s`'s fixed counters.
+    fn add_fixed(&mut self, s: usize, a: &ArrayMap, bytes: u64) {
+        let f = &mut self.fixed[s];
+        if a.copies_in() {
+            f.h2d += bytes;
+        }
+        if a.copies_out() {
+            f.d2h += bytes;
+        }
+        f.alloc += bytes;
     }
 
     /// Number of device slots the plan covers.
@@ -288,18 +278,18 @@ impl DataPlan {
     /// Host→device bytes for slot `s` executing `iters` iterations
     /// (fixed part + aligned part).
     pub fn h2d_bytes(&self, s: usize, iters: u64) -> u64 {
-        self.h2d_fixed[s] + (self.h2d_per_iter * iters as f64).round() as u64
+        self.fixed[s].h2d + (self.h2d_per_iter * iters as f64).round() as u64
     }
 
     /// Device→host bytes for slot `s` after `iters` iterations.
     pub fn d2h_bytes(&self, s: usize, iters: u64) -> u64 {
-        self.d2h_fixed[s] + (self.d2h_per_iter * iters as f64).round() as u64
+        self.fixed[s].d2h + (self.d2h_per_iter * iters as f64).round() as u64
     }
 
     /// Device-memory footprint for slot `s` holding `iters` iterations'
     /// worth of aligned data plus its fixed mappings.
     pub fn alloc_bytes(&self, s: usize, iters: u64) -> u64 {
-        self.alloc_fixed[s] + (self.alloc_per_iter * iters as f64).round() as u64
+        self.fixed[s].alloc + (self.alloc_per_iter * iters as f64).round() as u64
     }
 
     /// H2D bytes of *one chunk* of `iters` aligned iterations (no fixed
@@ -316,12 +306,12 @@ impl DataPlan {
     /// Fixed H2D bytes of slot `s` (replicated + independent arrays +
     /// scalars).
     pub fn h2d_fixed_bytes(&self, s: usize) -> u64 {
-        self.h2d_fixed[s]
+        self.fixed[s].h2d
     }
 
     /// Fixed D2H bytes of slot `s`.
     pub fn d2h_fixed_bytes(&self, s: usize) -> u64 {
-        self.d2h_fixed[s]
+        self.fixed[s].d2h
     }
 
     /// Aligned H2D bytes per iteration.

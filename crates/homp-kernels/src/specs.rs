@@ -153,6 +153,34 @@ mod tests {
     }
 
     #[test]
+    fn reseeded_second_pass_over_paper_regions_interns_no_label() {
+        // Taken traces share the engine's label table, so after one pass
+        // over the 48 paper regions the table holds every label they use.
+        let machine = Machine::full_node();
+        let devices: Vec<_> = (0..machine.len() as homp_sim::DeviceId).collect();
+        let mut rt = Runtime::new(machine, 42);
+        let pass = |rt: &mut Runtime| -> Vec<usize> {
+            let mut counts = Vec::new();
+            for spec in KernelSpec::paper_suite() {
+                for alg in Algorithm::extended_suite() {
+                    rt.reset_with_seed(42);
+                    let region = spec.region(devices.clone(), alg);
+                    let mut phantom = PhantomKernel::new(spec.intensity());
+                    let report = rt.offload(&region, &mut phantom).run().unwrap();
+                    counts.push(report.trace.label_count());
+                }
+            }
+            counts
+        };
+        let first = pass(&mut rt);
+        let settled = *first.last().unwrap();
+        assert!(first.windows(2).all(|w| w[0] <= w[1]), "the shared table only grows");
+        assert!(first[0] < settled, "later regions add labels to the shared table");
+        let second = pass(&mut rt);
+        assert!(second.iter().all(|&c| c == settled), "second pass interned a label: {second:?}");
+    }
+
+    #[test]
     fn trip_counts() {
         assert_eq!(KernelSpec::Axpy(10_000_000).trip_count(), 10_000_000);
         assert_eq!(KernelSpec::MatMul(6_144).trip_count(), 6_144);

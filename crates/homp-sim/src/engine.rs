@@ -233,12 +233,14 @@ impl Engine {
         &self.trace
     }
 
-    /// Take ownership of the trace, leaving an empty one recording at
-    /// the same [`TraceLevel`] (a plain `mem::take` would silently
-    /// reset a throughput run back to `Full`).
+    /// Take ownership of the trace, leaving its [`Trace::successor`]:
+    /// empty, recording at the same [`TraceLevel`] (a plain `mem::take`
+    /// would silently reset a throughput run back to `Full`), sharing
+    /// the label table and reserving the taken event count on its first
+    /// record. The hand-off itself allocates nothing.
     pub fn take_trace(&mut self) -> Trace {
-        let level = self.trace.level();
-        std::mem::replace(&mut self.trace, Trace::with_level(level))
+        let successor = self.trace.successor();
+        std::mem::replace(&mut self.trace, successor)
     }
 
     /// Set the trace recording level (see [`TraceLevel`]). The virtual
@@ -1176,6 +1178,45 @@ mod tests {
         assert_eq!(taken.level(), TraceLevel::Off);
         assert_eq!(e.trace_level(), TraceLevel::Off, "take_trace preserves the level");
         assert_eq!(e.ops_submitted(), 2, "take_trace keeps the telemetry counter");
+    }
+
+    #[test]
+    fn taken_trace_labels_survive_later_interning() {
+        let k = axpy_intensity();
+        let mut e = Engine::noiseless(Machine::four_k40());
+        let t = e.transfer(0, 1 << 20, Dir::H2D, SimTime::ZERO, "x-in");
+        e.compute(0, &ChunkWork::new(10, &k), t, "axpy");
+        let taken = e.take_trace();
+        let text = |tr: &Trace| -> Vec<String> {
+            tr.events().iter().map(|ev| tr.label(ev.label).to_string()).collect()
+        };
+        let before = text(&taken);
+        assert_eq!(before, ["x-in", "axpy"]);
+
+        // The successor shares the table; a new label copies it first.
+        e.transfer(1, 1 << 20, Dir::D2H, SimTime::ZERO, "y-out");
+        e.transfer(1, 1 << 20, Dir::H2D, SimTime::ZERO, "x-in");
+        assert_eq!(text(&taken), before, "taken ids must keep resolving to their text");
+        assert_eq!(taken.label_count(), 2, "the taken table must not see later labels");
+        assert_eq!(text(e.trace()), ["y-out", "x-in"]);
+        assert_eq!(e.trace().label_count(), 3);
+    }
+
+    #[test]
+    fn take_trace_reserves_lazily() {
+        let k = axpy_intensity();
+        let mut e = Engine::noiseless(Machine::four_k40());
+        let mut t = SimTime::ZERO;
+        for _ in 0..40 {
+            t = e.compute(0, &ChunkWork::new(10, &k), t, "c");
+        }
+        let taken = e.take_trace();
+        assert_eq!(e.trace().events_capacity(), 0, "the hand-off allocates no events");
+        e.compute(0, &ChunkWork::new(10, &k), SimTime::ZERO, "c");
+        assert!(
+            e.trace().events_capacity() >= taken.len(),
+            "the first record reserves the predecessor's event count"
+        );
     }
 
     #[test]

@@ -193,9 +193,8 @@ impl Metrics {
         for e in trace.events() {
             let d = e.device as usize;
             let m = &mut devices[d];
-            let slot = OpKind::ALL.iter().position(|k| *k == e.kind).expect("known kind");
             let (s, t) = (e.start.as_secs(), e.end.as_secs());
-            m.busy_s[slot] += t - s;
+            m.busy_s[e.kind as usize] += t - s;
             match e.kind {
                 OpKind::Kernel => {
                     m.kernel_iters += e.amount;

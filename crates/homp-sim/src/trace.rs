@@ -11,6 +11,7 @@
 use crate::device::DeviceId;
 use crate::time::{SimSpan, SimTime};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Category of a traced operation, the x-axis groups of Figure 6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -66,6 +67,16 @@ impl OpKind {
         }
     }
 }
+
+// Per-kind arrays are indexed by `kind as usize`, so `ALL` (their column
+// order) must list the kinds in discriminant order.
+const _: () = {
+    let mut i = 0;
+    while i < OpKind::N {
+        assert!(OpKind::ALL[i] as usize == i, "OpKind::ALL must follow discriminant order");
+        i += 1;
+    }
+};
 
 impl std::fmt::Display for OpKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -148,8 +159,14 @@ pub struct Trace {
     events: Vec<TraceEvent>,
     /// Interned label table, indexed by [`LabelId`]. The cardinality is
     /// tiny (a handful of fixed stage names plus the kernel names), so
-    /// a linear probe beats a hash map here.
-    labels: Vec<Box<str>>,
+    /// a linear probe beats a hash map here. Shared copy-on-write with
+    /// the traces handed off by [`Trace::successor`]: an intern miss
+    /// copies a shared table first, so ids already handed out keep
+    /// resolving to the same text.
+    labels: Arc<Vec<Box<str>>>,
+    /// Events to reserve on the first [`Trace::record`] into an empty
+    /// buffer — the predecessor's event count (see [`Trace::successor`]).
+    reserve: usize,
     /// Recording level; see [`TraceLevel`].
     level: TraceLevel,
 }
@@ -181,8 +198,9 @@ impl Trace {
         match self.labels.iter().position(|l| &**l == label) {
             Some(i) => LabelId(i as u32),
             None => {
-                self.labels.push(label.into());
-                LabelId((self.labels.len() - 1) as u32)
+                let labels = Arc::make_mut(&mut self.labels);
+                labels.push(label.into());
+                LabelId((labels.len() - 1) as u32)
             }
         }
     }
@@ -212,6 +230,9 @@ impl Trace {
             TraceLevel::Spans => LabelId::UNLABELED,
             TraceLevel::Full => self.intern(label),
         };
+        if self.events.capacity() == 0 {
+            self.events.reserve(self.reserve);
+        }
         self.events.push(TraceEvent { device, kind, start, end, amount, label });
     }
 
@@ -242,6 +263,24 @@ impl Trace {
         self.events.clear();
     }
 
+    /// An empty trace to record the next region into after this one is
+    /// handed off: same level, sharing this trace's label table, and
+    /// sized for as many events as this trace holds.
+    ///
+    /// The successor allocates nothing here. The label table is shared
+    /// (a region re-records the same labels, so steady-state hand-offs
+    /// intern nothing), and the event buffer is reserved lazily on the
+    /// first record — a successor that is dropped or never records
+    /// holds no event memory.
+    pub fn successor(&self) -> Trace {
+        Trace {
+            events: Vec::new(),
+            labels: Arc::clone(&self.labels),
+            reserve: self.events.len(),
+            level: self.level,
+        }
+    }
+
     /// Number of distinct labels interned so far. Stable across
     /// [`Trace::clear`]; useful for asserting steady-state reuse.
     pub fn label_count(&self) -> usize {
@@ -253,7 +292,7 @@ impl Trace {
     ///
     /// This is how a long-running service keeps one machine-wide trace
     /// across many per-request traces: each request's trace is taken
-    /// out of the engine with its own small label table, and absorbing
+    /// out of the engine with the engine's label table, and absorbing
     /// re-maps those ids onto the master table. Because requests reuse
     /// the same stage and kernel labels, the master table stays bounded
     /// by the label *vocabulary*, not by the request count — see the
@@ -305,8 +344,7 @@ impl Trace {
         for e in &self.events {
             let d = e.device as usize;
             assert!(d < n_devices, "event device {} out of range {}", e.device, n_devices);
-            let slot = OpKind::ALL.iter().position(|k| *k == e.kind).expect("known kind");
-            busy[d][slot] += e.span();
+            busy[d][e.kind as usize] += e.span();
             if e.kind != OpKind::Sync {
                 completion[d] = completion[d].max(e.end);
             }
@@ -452,8 +490,7 @@ pub struct Breakdown {
 impl Breakdown {
     /// Busy span for one device/category.
     pub fn busy(&self, device: DeviceId, kind: OpKind) -> SimSpan {
-        let slot = OpKind::ALL.iter().position(|k| *k == kind).expect("known kind");
-        self.busy[device as usize][slot]
+        self.busy[device as usize][kind as usize]
     }
 
     /// Device's barrier wait: makespan minus its last non-sync completion.
