@@ -11,10 +11,10 @@
 //! lower its pin in the same commit, so the saving cannot be lost again
 //! unnoticed.
 
-use homp_core::{Algorithm, FnKernel, OffloadRegion, Range, Runtime};
+use homp_core::{Algorithm, FaultConfig, FnKernel, OffloadRegion, Range, Runtime};
 use homp_lang::{DistPolicy, MapDir};
 use homp_model::KernelIntensity;
-use homp_sim::{DeviceId, Machine};
+use homp_sim::{DeviceId, FaultPlan, Machine, TraceLevel};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -111,7 +111,8 @@ type Build = fn(Vec<DeviceId>, Algorithm) -> (OffloadRegion, KernelIntensity);
 
 /// Allocations made by the last of several reseeded offloads of the
 /// same region on one runtime: reset, offload, and dropping the report.
-fn steady_state_allocs(build: Build, algorithm: Algorithm) -> u64 {
+/// `configure` runs once on the fresh runtime, before any offload.
+fn steady_state_allocs(build: Build, algorithm: Algorithm, configure: fn(&mut Runtime)) -> u64 {
     let machine = Machine::full_node();
     let devices = (0..machine.len() as DeviceId).collect();
     let (region, intensity) = build(devices, algorithm);
@@ -119,6 +120,7 @@ fn steady_state_allocs(build: Build, algorithm: Algorithm) -> u64 {
         std::hint::black_box(r);
     });
     let mut rt = Runtime::new(machine, 42);
+    configure(&mut rt);
     let mut op = |rt: &mut Runtime| {
         rt.reset_with_seed(42);
         drop(rt.offload(&region, &mut kernel).run().expect("offload runs"));
@@ -136,7 +138,7 @@ fn block_axpy_allocation_budget() {
     // 53 while `DataPlan` keyed its alignment graph by owned names and
     // every trace hand-off rebuilt the label table.
     assert_eq!(
-        steady_state_allocs(axpy, Algorithm::Block),
+        steady_state_allocs(axpy, Algorithm::Block, |_| {}),
         20,
         "BLOCK axpy allocations per offload"
     );
@@ -146,5 +148,34 @@ fn block_axpy_allocation_budget() {
 fn model_2_matmul_allocation_budget() {
     let alg = Algorithm::Model2 { cutoff: None };
     // 63 before the same two cuts.
-    assert_eq!(steady_state_allocs(matmul, alg), 28, "MODEL_2 matmul allocations per offload");
+    assert_eq!(
+        steady_state_allocs(matmul, alg, |_| {}),
+        28,
+        "MODEL_2 matmul allocations per offload"
+    );
+}
+
+/// A throughput run under faults: no trace, device 2 three times slower
+/// throughout, device 3 gone from 0.5 ms to 0.7 ms. The axpy takes
+/// about 2.9 ms, so the engine marks seven stretched ops and one
+/// dropout, and the runtime requeues a chunk and reintegrates device 3.
+fn faulted_untraced(rt: &mut Runtime) {
+    let plan = FaultPlan::new(7)
+        .with_slowdown(2, 3.0, 0.0, 1.0)
+        .with_dropout_at(3, 5e-4)
+        .with_recovery_at(3, 7e-4);
+    rt.set_fault_config(FaultConfig::new(plan));
+    rt.set_trace_level(TraceLevel::Off);
+}
+
+#[test]
+fn faulted_dynamic_axpy_allocation_budget() {
+    let alg = Algorithm::Dynamic { chunk_pct: 2.0 };
+    // 57 while each of the eight fault markers formatted its tagged
+    // label (two allocations apiece), even for a trace that drops it.
+    assert_eq!(
+        steady_state_allocs(axpy, alg, faulted_untraced),
+        41,
+        "faulted SCHED_DYNAMIC axpy allocations per offload at TraceLevel::Off"
+    );
 }

@@ -283,6 +283,32 @@ impl Engine {
         self.trace.record(dev, kind, start, end, amount, label);
     }
 
+    /// Record a fault marker, labelled `"<label> [<kind>]"`. Only a
+    /// [`TraceLevel::Full`] trace keeps labels, so below it the tagged
+    /// label is never built and the marker allocates nothing; at `Full`
+    /// it is built in one exactly sized allocation.
+    fn record_fault(
+        &mut self,
+        dev: DeviceId,
+        start: SimTime,
+        end: SimTime,
+        amount: u64,
+        label: &str,
+        kind: FaultKind,
+    ) {
+        if self.trace.level() == TraceLevel::Full {
+            let tag = kind.label();
+            let mut tagged = String::with_capacity(label.len() + tag.len() + 3);
+            tagged.push_str(label);
+            tagged.push_str(" [");
+            tagged.push_str(tag);
+            tagged.push(']');
+            self.record_op(dev, OpKind::Fault, start, end, amount, &tagged);
+        } else {
+            self.record_op(dev, OpKind::Fault, start, end, amount, label);
+        }
+    }
+
     /// When the device's compute engine is next free.
     pub fn compute_free_at(&self, dev: DeviceId) -> SimTime {
         self.compute_free[dev as usize]
@@ -412,69 +438,39 @@ impl Engine {
                 .max(self.h2d_free[dev as usize])
                 .max(self.d2h_free[dev as usize]);
         }
-        if check_faults {
-            // Degraded mode: stretch the transfer and leave a zero-length
-            // marker so the slowdown is visible in the trace.
-            let stretch = self.faults.slowdown_factor(dev, start);
-            if stretch != 1.0 {
-                span = span.scale(stretch);
-                self.record_op(
-                    dev,
-                    OpKind::Fault,
-                    start,
-                    start,
-                    0,
-                    &format!("{label} [slowdown]"),
-                );
-            }
+        // One program lookup per op: the slowdown, dropout and
+        // transient-DMA checks below all read it.
+        let plan = if check_faults { self.faults.device(dev) } else { None };
+        // Degraded mode stretches the transfer.
+        let stretch = plan.map_or(1.0, |p| p.slowdown_factor(start));
+        if stretch != 1.0 {
+            span = span.scale(stretch);
         }
         let end = start + span;
-        if check_faults {
-            if let Some(tf) = self.faults.dropout_at(dev, start, end) {
-                if tf == start {
-                    // The device is already gone; the proxy discovers it
-                    // the moment it tries to submit.
-                    self.record_op(
-                        dev,
-                        OpKind::Fault,
-                        start,
-                        start,
-                        0,
-                        &format!("{label} [dropout]"),
-                    );
-                    return Err(Fault { device: dev, kind: FaultKind::Dropout, at: start });
-                }
-                // The transfer dies mid-flight; bus and engine are
-                // held until the failure instant.
-                self.commit_transfer(dev, dir, bus_slot, tf);
-                self.record_op(
-                    dev,
-                    OpKind::Fault,
-                    start,
-                    tf,
-                    bytes,
-                    &format!("{label} [dropout]"),
-                );
-                return Err(Fault { device: dev, kind: FaultKind::Dropout, at: tf });
-            }
-            if self.faults.dma_fault_at(dev, seq, start) {
-                let latency = self
-                    .faults
-                    .device(dev)
-                    .map(|p| SimSpan::from_secs(p.dma_error_latency))
-                    .unwrap_or(SimSpan::ZERO);
-                let fail_end = start + latency;
-                self.commit_transfer(dev, dir, bus_slot, fail_end);
-                self.record_op(
-                    dev,
-                    OpKind::Fault,
-                    start,
-                    fail_end,
-                    bytes,
-                    &format!("{label} [dma-error]"),
-                );
-                return Err(Fault { device: dev, kind: FaultKind::TransientDma, at: fail_end });
-            }
+        let fault = plan.and_then(|p| match p.dropout_at(start, end) {
+            Some(tf) => Some(Fault { device: dev, kind: FaultKind::Dropout, at: tf }),
+            None => p.dma_fault_at(self.faults.seed(), dev, seq, start).then(|| Fault {
+                device: dev,
+                kind: FaultKind::TransientDma,
+                at: start + SimSpan::from_secs(p.dma_error_latency),
+            }),
+        });
+        if stretch != 1.0 {
+            // A zero-length marker makes the slowdown visible in the trace.
+            self.record_fault(dev, start, start, 0, label, FaultKind::Slowdown);
+        }
+        if let Some(f) = fault {
+            // A device that is already gone fails the submission itself
+            // and holds nothing. Otherwise the transfer dies mid-flight:
+            // bus and engine are held until the failure instant.
+            let amount = if f.kind == FaultKind::Dropout && f.at == start {
+                0
+            } else {
+                self.commit_transfer(dev, dir, bus_slot, f.at);
+                bytes
+            };
+            self.record_fault(dev, start, f.at, amount, label, f.kind);
+            return Err(f);
         }
         self.commit_transfer(dev, dir, bus_slot, end);
         let kind = match dir {
@@ -557,25 +553,20 @@ impl Engine {
         let seq = self.next_seq(dev);
         let mut span = self.compute_span_at(dev, work, seq, sched);
         let start = ready.max(self.compute_free[dev as usize]);
-        if check_faults {
-            let stretch = self.faults.slowdown_factor(dev, start);
-            if stretch != 1.0 {
-                span = span.scale(stretch);
-                self.record_op(
-                    dev,
-                    OpKind::Fault,
-                    start,
-                    start,
-                    0,
-                    &format!("{label} [slowdown]"),
-                );
-            }
+        // One program lookup per op, read by both checks.
+        let plan = if check_faults { self.faults.device(dev) } else { None };
+        let stretch = plan.map_or(1.0, |p| p.slowdown_factor(start));
+        if stretch != 1.0 {
+            span = span.scale(stretch);
         }
         let end = start + span;
-        if check_faults {
-            if let Some(fault) = self.dropout_check(dev, start, end, work.iters, label) {
-                return Err(fault);
-            }
+        let dropout = plan.and_then(|p| p.dropout_at(start, end));
+        if stretch != 1.0 {
+            self.record_fault(dev, start, start, 0, label, FaultKind::Slowdown);
+        }
+        if let Some(at) = dropout {
+            let fault = Fault { device: dev, kind: FaultKind::Dropout, at };
+            return Err(self.fail_compute(fault, start, work.iters, label));
         }
         self.compute_free[dev as usize] = end;
         if !self.overlap {
@@ -677,27 +668,20 @@ impl Engine {
         start + span.scale(self.faults.slowdown_factor(dev, start))
     }
 
-    /// Dropout check shared by compute and launch: an operation that
-    /// would start during the scripted outage fails at submission; one
-    /// that straddles the dropout holds the compute engine until the
-    /// failure instant and fails there. Operations starting at or after
-    /// a scripted recovery succeed again.
-    fn dropout_check(
-        &mut self,
-        dev: DeviceId,
-        start: SimTime,
-        end: SimTime,
-        amount: u64,
-        label: &str,
-    ) -> Option<Fault> {
-        let tf = self.faults.dropout_at(dev, start, end)?;
-        if tf == start {
-            self.record_op(dev, OpKind::Fault, start, start, 0, &format!("{label} [dropout]"));
-            return Some(Fault { device: dev, kind: FaultKind::Dropout, at: start });
-        }
-        self.compute_free[dev as usize] = tf;
-        self.record_op(dev, OpKind::Fault, start, tf, amount, &format!("{label} [dropout]"));
-        Some(Fault { device: dev, kind: FaultKind::Dropout, at: tf })
+    /// Charge and record a compute-engine op (kernel or launch) that
+    /// started at `start` and failed with `fault`. An op submitted
+    /// during a scripted outage fails at submission and holds nothing;
+    /// any other failure holds the compute engine until the instant it
+    /// surfaces, and the marker carries `amount`.
+    fn fail_compute(&mut self, fault: Fault, start: SimTime, amount: u64, label: &str) -> Fault {
+        let amount = if fault.kind == FaultKind::Dropout && fault.at == start {
+            0
+        } else {
+            self.compute_free[fault.device as usize] = fault.at;
+            amount
+        };
+        self.record_fault(fault.device, start, fault.at, amount, label, fault.kind);
+        fault
     }
 
     /// Pay the device's per-offload launch/bookkeeping overhead starting
@@ -736,28 +720,20 @@ impl Engine {
             *s += 1;
             *s
         };
-        if check_faults {
-            if let Some(fault) = self.dropout_check(dev, start, end, 0, label) {
-                return Err(fault);
-            }
-            if self.faults.launch_fault_at(dev, lseq, start) {
-                let latency = self
-                    .faults
-                    .device(dev)
-                    .map(|p| SimSpan::from_secs(p.timeout_latency))
-                    .unwrap_or(SimSpan::ZERO);
-                let fail_end = start + latency;
-                self.compute_free[dev as usize] = fail_end;
-                self.record_op(
-                    dev,
-                    OpKind::Fault,
-                    start,
-                    fail_end,
-                    0,
-                    &format!("{label} [launch-timeout]"),
-                );
-                return Err(Fault { device: dev, kind: FaultKind::LaunchTimeout, at: fail_end });
-            }
+        // One program lookup per op, read by the dropout check and the
+        // timeout draw; a hung launch holds the compute engine until
+        // the watchdog fires.
+        let plan = if check_faults { self.faults.device(dev) } else { None };
+        let fault = plan.and_then(|p| match p.dropout_at(start, end) {
+            Some(tf) => Some(Fault { device: dev, kind: FaultKind::Dropout, at: tf }),
+            None => p.launch_fault_at(self.faults.seed(), dev, lseq, start).then(|| Fault {
+                device: dev,
+                kind: FaultKind::LaunchTimeout,
+                at: start + SimSpan::from_secs(p.timeout_latency),
+            }),
+        });
+        if let Some(f) = fault {
+            return Err(self.fail_compute(f, start, 0, label));
         }
         self.compute_free[dev as usize] = end;
         self.record_op(dev, OpKind::Init, start, end, 0, label);

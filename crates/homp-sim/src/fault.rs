@@ -16,7 +16,6 @@
 use crate::device::DeviceId;
 use crate::noise::bernoulli;
 use crate::time::SimTime;
-use std::collections::HashMap;
 
 /// Salt for transient-DMA draws (distinct stream from noise draws).
 const SALT_DMA: u64 = 0x0D3A_0D3A;
@@ -190,6 +189,59 @@ impl DeviceFaultPlan {
             || self.slowdown.is_some()
             || self.flaky.is_some()
     }
+
+    /// See [`FaultPlan::dropout_at`].
+    #[inline]
+    pub(crate) fn dropout_at(&self, start: SimTime, end: SimTime) -> Option<SimTime> {
+        let tf = SimTime::from_secs(self.fail_at?);
+        if let Some(rec) = self.recover_at {
+            if start >= SimTime::from_secs(rec) {
+                return None;
+            }
+        }
+        if start >= tf {
+            Some(start)
+        } else if end > tf {
+            Some(tf)
+        } else {
+            None
+        }
+    }
+
+    /// See [`FaultPlan::slowdown_factor`].
+    #[inline]
+    pub(crate) fn slowdown_factor(&self, at: SimTime) -> f64 {
+        match self.slowdown {
+            Some(w) if w.contains(at) => w.factor,
+            _ => 1.0,
+        }
+    }
+
+    /// See [`FaultPlan::dma_fault_at`]; `seed` is the plan's draw seed.
+    #[inline]
+    pub(crate) fn dma_fault_at(&self, seed: u64, device: DeviceId, seq: u64, at: SimTime) -> bool {
+        let rate = match self.flaky {
+            Some(w) if w.contains(at) => self.transient_dma_rate.max(w.dma_rate),
+            _ => self.transient_dma_rate,
+        };
+        bernoulli(&[seed, device as u64, seq, SALT_DMA], rate)
+    }
+
+    /// See [`FaultPlan::launch_fault_at`]; `seed` is the plan's draw seed.
+    #[inline]
+    pub(crate) fn launch_fault_at(
+        &self,
+        seed: u64,
+        device: DeviceId,
+        seq: u64,
+        at: SimTime,
+    ) -> bool {
+        let rate = match self.flaky {
+            Some(w) if w.contains(at) => self.launch_timeout_rate.max(w.launch_rate),
+            _ => self.launch_timeout_rate,
+        };
+        bernoulli(&[seed, device as u64, seq, SALT_LAUNCH], rate)
+    }
 }
 
 /// Scripted faults for a whole machine: a seed plus per-device
@@ -197,7 +249,13 @@ impl DeviceFaultPlan {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     seed: u64,
-    devices: HashMap<DeviceId, DeviceFaultPlan>,
+    /// Programs indexed by device id, grown on insert to the largest
+    /// scripted id (so its size follows that id, not the entry count).
+    /// The engine resolves a device's program on every fault-checked
+    /// op; a slot load replaces the SipHash probe of a keyed map. Only
+    /// inserts touch the table, so two plans with the same entries have
+    /// the same length and compare equal.
+    devices: Vec<Option<DeviceFaultPlan>>,
 }
 
 impl FaultPlan {
@@ -209,12 +267,12 @@ impl FaultPlan {
     /// Empty plan with a draw seed (deterministic across runs; two
     /// plans with the same seed and programs fault identically).
     pub fn new(seed: u64) -> Self {
-        Self { seed, devices: HashMap::new() }
+        Self { seed, devices: Vec::new() }
     }
 
     /// Whether the plan can ever produce a fault.
     pub fn is_none(&self) -> bool {
-        !self.devices.values().any(|p| p.is_active())
+        !self.devices.iter().flatten().any(DeviceFaultPlan::is_active)
     }
 
     /// The draw seed.
@@ -222,10 +280,19 @@ impl FaultPlan {
         self.seed
     }
 
+    /// `device`'s program, inserting the default one if it has none.
+    fn entry(&mut self, device: DeviceId) -> &mut DeviceFaultPlan {
+        let i = device as usize;
+        if i >= self.devices.len() {
+            self.devices.resize(i + 1, None);
+        }
+        self.devices[i].get_or_insert_with(DeviceFaultPlan::default)
+    }
+
     /// Install a full per-device program.
     #[must_use]
     pub fn with_device(mut self, device: DeviceId, plan: DeviceFaultPlan) -> Self {
-        self.devices.insert(device, plan);
+        *self.entry(device) = plan;
         self
     }
 
@@ -234,7 +301,7 @@ impl FaultPlan {
     #[must_use]
     pub fn with_dropout_at(mut self, device: DeviceId, secs: f64) -> Self {
         assert!(secs.is_finite() && secs >= 0.0, "dropout time must be >= 0, got {secs}");
-        self.devices.entry(device).or_default().fail_at = Some(secs);
+        self.entry(device).fail_at = Some(secs);
         self
     }
 
@@ -244,7 +311,7 @@ impl FaultPlan {
     #[must_use]
     pub fn with_recovery_at(mut self, device: DeviceId, secs: f64) -> Self {
         assert!(secs.is_finite() && secs >= 0.0, "recovery time must be >= 0, got {secs}");
-        self.devices.entry(device).or_default().recover_at = Some(secs);
+        self.entry(device).recover_at = Some(secs);
         self
     }
 
@@ -252,7 +319,7 @@ impl FaultPlan {
     #[must_use]
     pub fn with_transient_dma(mut self, device: DeviceId, rate: f64) -> Self {
         assert!((0.0..=1.0).contains(&rate), "rate must be in [0,1], got {rate}");
-        self.devices.entry(device).or_default().transient_dma_rate = rate;
+        self.entry(device).transient_dma_rate = rate;
         self
     }
 
@@ -260,7 +327,7 @@ impl FaultPlan {
     #[must_use]
     pub fn with_launch_timeouts(mut self, device: DeviceId, rate: f64) -> Self {
         assert!((0.0..=1.0).contains(&rate), "rate must be in [0,1], got {rate}");
-        self.devices.entry(device).or_default().launch_timeout_rate = rate;
+        self.entry(device).launch_timeout_rate = rate;
         self
     }
 
@@ -273,7 +340,7 @@ impl FaultPlan {
             from.is_finite() && until.is_finite() && 0.0 <= from && from <= until,
             "slowdown window must satisfy 0 <= from <= until, got [{from}, {until})"
         );
-        self.devices.entry(device).or_default().slowdown =
+        self.entry(device).slowdown =
             Some(SlowdownWindow { factor, from, until });
         self
     }
@@ -298,7 +365,7 @@ impl FaultPlan {
             from.is_finite() && until.is_finite() && 0.0 <= from && from <= until,
             "flaky window must satisfy 0 <= from <= until, got [{from}, {until})"
         );
-        self.devices.entry(device).or_default().flaky =
+        self.entry(device).flaky =
             Some(FlakyWindow { from, until, dma_rate, launch_rate });
         self
     }
@@ -306,13 +373,7 @@ impl FaultPlan {
     /// The device's program, if it has one.
     #[inline]
     pub fn device(&self, device: DeviceId) -> Option<&DeviceFaultPlan> {
-        // Fast path for the overwhelmingly common no-plan case: the
-        // engine probes the plan several times per simulated operation,
-        // and hashing the key costs more than this length check.
-        if self.devices.is_empty() {
-            return None;
-        }
-        self.devices.get(&device)
+        self.devices.get(device as usize)?.as_ref()
     }
 
     /// The device's scripted dropout instant, if any.
@@ -332,30 +393,14 @@ impl FaultPlan {
     /// or after a scripted recovery succeed again.
     #[inline]
     pub fn dropout_at(&self, device: DeviceId, start: SimTime, end: SimTime) -> Option<SimTime> {
-        let p = self.device(device)?;
-        let tf = SimTime::from_secs(p.fail_at?);
-        if let Some(rec) = p.recover_at {
-            if start >= SimTime::from_secs(rec) {
-                return None;
-            }
-        }
-        if start >= tf {
-            Some(start)
-        } else if end > tf {
-            Some(tf)
-        } else {
-            None
-        }
+        self.device(device)?.dropout_at(start, end)
     }
 
     /// Duration multiplier for an operation starting at `at` on
     /// `device` (1.0 when no slowdown window covers the instant).
     #[inline]
     pub fn slowdown_factor(&self, device: DeviceId, at: SimTime) -> f64 {
-        match self.device(device).and_then(|p| p.slowdown) {
-            Some(w) if w.contains(at) => w.factor,
-            _ => 1.0,
-        }
+        self.device(device).map_or(1.0, |p| p.slowdown_factor(at))
     }
 
     /// Deterministic draw: does transfer number `seq` on `device` fail
@@ -390,32 +435,14 @@ impl FaultPlan {
     /// not higher) the outcome is identical to the base draw.
     #[inline]
     pub fn dma_fault_at(&self, device: DeviceId, seq: u64, at: SimTime) -> bool {
-        match self.device(device) {
-            Some(p) => {
-                let rate = match p.flaky {
-                    Some(w) if w.contains(at) => p.transient_dma_rate.max(w.dma_rate),
-                    _ => p.transient_dma_rate,
-                };
-                bernoulli(&[self.seed, device as u64, seq, SALT_DMA], rate)
-            }
-            None => false,
-        }
+        self.device(device).is_some_and(|p| p.dma_fault_at(self.seed, device, seq, at))
     }
 
     /// Like [`FaultPlan::launch_fault`], but window-aware (see
     /// [`FaultPlan::dma_fault_at`]).
     #[inline]
     pub fn launch_fault_at(&self, device: DeviceId, seq: u64, at: SimTime) -> bool {
-        match self.device(device) {
-            Some(p) => {
-                let rate = match p.flaky {
-                    Some(w) if w.contains(at) => p.launch_timeout_rate.max(w.launch_rate),
-                    _ => p.launch_timeout_rate,
-                };
-                bernoulli(&[self.seed, device as u64, seq, SALT_LAUNCH], rate)
-            }
-            None => false,
-        }
+        self.device(device).is_some_and(|p| p.launch_fault_at(self.seed, device, seq, at))
     }
 }
 
