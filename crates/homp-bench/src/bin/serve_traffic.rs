@@ -56,6 +56,28 @@ fn assert_single_tenant_identity(machine: &Machine, seed: u64) {
     assert_eq!(served.outcomes[0].report.makespan, direct.makespan);
 }
 
+/// FNV-1a over every admission decision's `(seq, tenant, queue_depth,
+/// decided_at bits)`, little-endian, in dispatch order. It pins the
+/// admission order itself, which the latency summary alone does not: a
+/// tie-break change that happened to keep the latencies would still
+/// move this digest.
+fn decision_digest(rep: &ServeReport) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for d in &rep.decisions {
+        let words = [
+            d.seq as u64,
+            u64::from(d.tenant),
+            d.queue_depth as u64,
+            d.decided_at.as_secs().to_bits(),
+        ];
+        for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    h
+}
+
 fn policy_json(policy_name: &str, cfg: &TrafficConfig, rep: &ServeReport) -> String {
     let classes = tenant_classes(cfg);
     let mut out = String::new();
@@ -67,6 +89,7 @@ fn policy_json(policy_name: &str, cfg: &TrafficConfig, rep: &ServeReport) -> Str
     let _ = writeln!(out, "      \"p50_latency_us\": {:.3},", rep.p50_latency_s * 1e6);
     let _ = writeln!(out, "      \"p99_latency_us\": {:.3},", rep.p99_latency_s * 1e6);
     let _ = writeln!(out, "      \"max_latency_us\": {:.3},", rep.max_latency_s * 1e6);
+    let _ = writeln!(out, "      \"decision_digest\": \"{:016x}\",", decision_digest(rep));
 
     // Per-class latency: tenants draw their class once, so grouping the
     // outcomes by the submitting tenant's class is stable.
