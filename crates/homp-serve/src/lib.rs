@@ -8,10 +8,11 @@
 //! * [`ServeRequest`] — one tenant's offload (region + kernel + virtual
 //!   arrival instant + fairness weight);
 //! * [`Server`] — the admission queue and event loop: requests wait
-//!   until admitted, an admission [`ServePolicy`] (FIFO or weighted
-//!   fair) picks the next one, and [`Runtime::offload_at`] dispatches
-//!   it onto the *shared, still-busy* engine calendars so concurrent
-//!   regions queue on real resources instead of an abstract lock;
+//!   in per-tenant lanes until admitted, an admission [`ServePolicy`]
+//!   (FIFO or weighted fair) picks the next one among the lane heads,
+//!   and `offload(region, kernel).at(t).run()` dispatches it onto the
+//!   *shared, still-busy* engine calendars so concurrent regions queue
+//!   on real resources instead of an abstract lock;
 //! * [`ServeReport`] — per-request outcomes (arrival → dispatch →
 //!   completion), per-tenant stats with p50/p99 request latency, an
 //!   admission decision log, and machine-wide utilization computed by
@@ -36,7 +37,7 @@
 
 pub mod traffic;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use homp_core::{LoopKernel, OffloadError, OffloadRegion, OffloadReport, Runtime};
 use homp_sim::{Machine, Metrics, SimSpan, SimTime, Trace};
@@ -226,7 +227,8 @@ impl Server {
 
     /// Server over an existing runtime (keeps its noise, fault config,
     /// decision-log and trace settings). The runtime must be freshly
-    /// built or reset — the serve clock starts at virtual zero.
+    /// built or reset — the serve clock starts at virtual zero (see
+    /// [`Server::serve`]).
     pub fn with_runtime(rt: Runtime) -> Self {
         let max_inflight = rt.machine().len().max(1);
         Self { rt, policy: ServePolicy::Fifo, max_inflight }
@@ -261,12 +263,20 @@ impl Server {
     /// The event loop keeps one monotone virtual clock `now`: requests
     /// with `arrival <= now` sit in the admission queue; when the
     /// in-flight window has room the policy picks one and it is
-    /// dispatched at `now` via [`Runtime::offload_at`] — its operations
-    /// then start no earlier than `now` *and* no earlier than each
-    /// resource frees up, which is how concurrent regions contend.
-    /// When the window is full, `now` advances to the earliest
-    /// in-flight completion; when the queue is empty, to the next
-    /// arrival.
+    /// dispatched at `now` via `offload(region, kernel).at(now).run()`
+    /// — its operations then start no earlier than `now` *and* no
+    /// earlier than each resource frees up, which is how concurrent
+    /// regions contend. When the window is full, `now` advances to the
+    /// earliest in-flight completion; when the queue is empty, to the
+    /// next arrival.
+    ///
+    /// The queue is kept as one lane per tenant, each in arrival order,
+    /// so a pick compares lane heads only: O(tenants), not O(queue).
+    /// Lanes and credits live only for the call; the runtime's calendars
+    /// do not. Each call restarts `now` at zero but continues on the
+    /// calendars the previous call left busy, so serving back-to-back
+    /// traffics as independent experiments needs
+    /// `runtime_mut().reset_with_seed(seed)` in between.
     ///
     /// A single request arriving at time zero on a fresh server is
     /// byte-identical (trace and all) to [`Runtime::offload`] of the
@@ -274,19 +284,29 @@ impl Server {
     /// physics.
     pub fn serve(&mut self, requests: Vec<ServeRequest<'_>>) -> Result<ServeReport, OffloadError> {
         let n_dev = self.rt.machine().len();
+        let weighted = self.policy == ServePolicy::WeightedFair;
+        let arrival: Vec<f64> = requests.iter().map(|r| r.arrival.as_secs()).collect();
+
+        // Dense lanes: tenant ids sorted and deduplicated, one lane each.
+        let mut tenant_ids: Vec<TenantId> = requests.iter().map(|r| r.tenant).collect();
+        tenant_ids.sort_unstable();
+        tenant_ids.dedup();
+        let lane_of: Vec<usize> = requests
+            .iter()
+            .map(|r| tenant_ids.binary_search(&r.tenant).expect("tenant has a lane"))
+            .collect();
+        let mut lanes: Vec<VecDeque<usize>> = vec![VecDeque::new(); tenant_ids.len()];
+        let mut credit = vec![0.0f64; tenant_ids.len()];
         let mut slots: Vec<Option<ServeRequest<'_>>> = requests.into_iter().map(Some).collect();
 
         // Arrival order: by arrival instant, submission index breaking
-        // ties — the only order the admission loop consumes them in.
+        // ties — the only order the admission loop consumes them in, so
+        // every lane stays sorted by `(arrival, seq)`.
         let mut by_arrival: Vec<usize> = (0..slots.len()).collect();
-        by_arrival.sort_by(|&a, &b| {
-            let (ta, tb) = (slots[a].as_ref().unwrap().arrival, slots[b].as_ref().unwrap().arrival);
-            ta.as_secs().total_cmp(&tb.as_secs()).then(a.cmp(&b))
-        });
+        by_arrival.sort_by(|&a, &b| arrival[a].total_cmp(&arrival[b]).then(a.cmp(&b)));
 
-        let mut queue: Vec<usize> = Vec::new();
+        let mut queued = 0usize;
         let mut inflight: Vec<SimTime> = Vec::new();
-        let mut credit: BTreeMap<TenantId, f64> = BTreeMap::new();
         let mut now = SimTime::ZERO;
         let mut next = 0usize;
 
@@ -295,17 +315,17 @@ impl Server {
         let mut decisions: Vec<ServeDecision> = Vec::new();
 
         loop {
-            while next < by_arrival.len()
-                && slots[by_arrival[next]].as_ref().unwrap().arrival <= now
-            {
-                queue.push(by_arrival[next]);
+            while next < by_arrival.len() && arrival[by_arrival[next]] <= now.as_secs() {
+                let idx = by_arrival[next];
+                lanes[lane_of[idx]].push_back(idx);
+                queued += 1;
                 next += 1;
             }
-            if queue.is_empty() {
+            if queued == 0 {
                 if next >= by_arrival.len() {
                     break;
                 }
-                now = now.max(slots[by_arrival[next]].as_ref().unwrap().arrival);
+                now = now.max(SimTime::from_secs(arrival[by_arrival[next]]));
                 continue;
             }
             inflight.retain(|&c| c > now);
@@ -317,21 +337,22 @@ impl Server {
                 continue;
             }
 
-            let pos = self.pick(&queue, &slots, &credit);
-            let idx = queue.remove(pos);
+            let lane = Self::pick(&lanes, &credit, &arrival);
+            let idx = lanes[lane].pop_front().expect("picked lane is non-empty");
             let mut req = slots[idx].take().expect("queued request present");
-            let before = *credit.get(&req.tenant).unwrap_or(&0.0);
             decisions.push(ServeDecision {
                 seq: idx,
                 tenant: req.tenant,
                 decided_at: now,
-                queue_depth: queue.len() + 1,
-                credit: before,
+                queue_depth: queued,
+                credit: credit[lane],
             });
+            queued -= 1;
 
             let report = self.rt.offload(&req.region, req.kernel.as_mut()).at(now).run()?;
-            *credit.entry(req.tenant).or_insert(0.0) +=
-                report.makespan.as_secs() / req.weight.max(1e-9);
+            if weighted {
+                credit[lane] += report.makespan.as_secs() / req.weight.max(1e-9);
+            }
             inflight.push(report.completed_at);
             master.absorb(&report.trace);
             outcomes.push(RequestOutcome {
@@ -365,41 +386,27 @@ impl Server {
         })
     }
 
-    /// Position in `queue` of the request the policy picks next.
-    fn pick(
-        &self,
-        queue: &[usize],
-        slots: &[Option<ServeRequest<'_>>],
-        credit: &BTreeMap<TenantId, f64>,
-    ) -> usize {
-        let fifo_key = |i: usize| {
-            let r = slots[i].as_ref().unwrap();
-            (r.arrival.as_secs(), i)
-        };
-        let mut best = 0usize;
-        for cand in 1..queue.len() {
-            let better = match self.policy {
-                ServePolicy::Fifo => {
-                    let (ka, kb) = (fifo_key(queue[cand]), fifo_key(queue[best]));
-                    ka.0.total_cmp(&kb.0).then(ka.1.cmp(&kb.1)).is_lt()
-                }
-                ServePolicy::WeightedFair => {
-                    let c = |i: usize| {
-                        *credit.get(&slots[i].as_ref().unwrap().tenant).unwrap_or(&0.0)
-                    };
-                    let (ca, cb) = (c(queue[cand]), c(queue[best]));
-                    let (ka, kb) = (fifo_key(queue[cand]), fifo_key(queue[best]));
-                    ca.total_cmp(&cb)
-                        .then(ka.0.total_cmp(&kb.0))
-                        .then(ka.1.cmp(&kb.1))
-                        .is_lt()
-                }
-            };
+    /// Lane whose head goes next: the least `(credit, arrival, seq)`
+    /// over the non-empty lanes. A lane holds one tenant's requests in
+    /// `(arrival, seq)` order under one credit, so its head is its least
+    /// key, and the least head is the least request in the whole queue.
+    /// Under FIFO every credit stays 0 and the key is `(arrival, seq)`.
+    fn pick(lanes: &[VecDeque<usize>], credit: &[f64], arrival: &[f64]) -> usize {
+        let mut best: Option<(usize, usize)> = None;
+        for (lane, queue) in lanes.iter().enumerate() {
+            let Some(&head) = queue.front() else { continue };
+            let better = best.is_none_or(|(b, b_head)| {
+                credit[lane]
+                    .total_cmp(&credit[b])
+                    .then(arrival[head].total_cmp(&arrival[b_head]))
+                    .then(head.cmp(&b_head))
+                    .is_lt()
+            });
             if better {
-                best = cand;
+                best = Some((lane, head));
             }
         }
-        best
+        best.expect("pick needs a queued request").0
     }
 
     fn tenant_stats(outcomes: &[RequestOutcome]) -> Vec<TenantStats> {
@@ -573,6 +580,57 @@ mod tests {
         let last0 = rep.decisions.iter().rev().find(|d| d.tenant == 0).unwrap();
         let last1 = rep.decisions.iter().rev().find(|d| d.tenant == 1).unwrap();
         assert!(last0.credit < last1.credit, "heavier tenant accrues credit slower");
+    }
+
+    /// A contended two-tenant traffic: 12 requests, tenant 0 at weight 4.
+    fn contended(m: &Machine) -> Vec<ServeRequest<'static>> {
+        let specs = suite();
+        (0..12)
+            .map(|i| {
+                request(m, &specs[i % specs.len()], (i % 2) as TenantId, (i / 4) as f64 * 30.0)
+                    .with_weight(if i % 2 == 0 { 4.0 } else { 1.0 })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fifo_decisions_log_zero_credit() {
+        let m = Machine::four_k40();
+        let mut srv = Server::new(m.clone(), 42).max_inflight(1);
+        let rep = srv.serve(contended(&m)).unwrap();
+        assert!(rep.decisions.iter().any(|d| d.queue_depth > 1), "the queue must bite");
+        for d in &rep.decisions {
+            assert_eq!(d.credit, 0.0, "FIFO accrues no credit: {d:?}");
+        }
+    }
+
+    #[test]
+    fn serve_after_reset_repeats_exactly() {
+        let m = Machine::four_k40();
+        for policy in [ServePolicy::Fifo, ServePolicy::WeightedFair] {
+            let mut srv = Server::new(m.clone(), 42).policy(policy).max_inflight(2);
+            let digest = |rep: &ServeReport| {
+                let outcomes: Vec<_> = rep
+                    .outcomes
+                    .iter()
+                    .map(|o| (o.seq, o.tenant, o.dispatched_at, o.completed_at, o.report.makespan))
+                    .collect();
+                (rep.decisions.clone(), outcomes, rep.trace.to_csv(), rep.tenants.clone())
+            };
+            let first = srv.serve(contended(&m)).unwrap();
+
+            // Without a reset the second call queues behind the first's
+            // calendars, even though its clock restarts at zero.
+            let stale = srv.serve(contended(&m)).unwrap();
+            assert!(stale.horizon > first.horizon, "calendars carry over ({policy:?})");
+
+            srv.runtime_mut().reset_with_seed(42);
+            let again = srv.serve(contended(&m)).unwrap();
+            assert!(
+                digest(&first) == digest(&again),
+                "serve after reset must repeat the first call ({policy:?})"
+            );
+        }
     }
 
     #[test]
