@@ -51,11 +51,11 @@ use crate::compile::{
 use crate::offload::OffloadRegion;
 use crate::pipeline::{Pipeline, PipelineKernel, PipelineReport};
 use crate::runtime::{
-    DataRegionReport, FaultConfig, LoopKernel, OffloadBuilder, OffloadError, OffloadReport,
-    Runtime, RuntimeConfig, UpdateReport,
+    DataRegionReport, FaultConfig, LoopKernel, OffloadBuilder, OffloadError, Runtime,
+    RuntimeConfig, UpdateReport,
 };
 use homp_lang::{parse_directive, Env, ParseError};
-use homp_sim::{Machine, SimTime, TransferStats};
+use homp_sim::{Machine, TransferStats};
 
 /// Error from the facade: parse, compile or offload failure.
 #[derive(Debug)]
@@ -152,10 +152,10 @@ impl Homp {
     }
 
     /// Enable (or disable) the per-chunk scheduler decision log. When
-    /// on, each [`OffloadReport`] carries the decisions behind it and
-    /// [`OffloadReport::run_report`] yields prediction-error statistics.
-    /// Pure read-side: the simulated schedule is byte-identical either
-    /// way.
+    /// on, each [`crate::OffloadReport`] carries the decisions behind
+    /// it and [`crate::OffloadReport::run_report`] yields
+    /// prediction-error statistics. Pure read-side: the simulated
+    /// schedule is byte-identical either way.
     pub fn set_decision_log(&mut self, on: bool) {
         self.runtime.set_decision_log(on);
     }
@@ -184,26 +184,17 @@ impl Homp {
     }
 
     /// Offload a region: returns the unified [`OffloadBuilder`] — chain
-    /// options ([`OffloadBuilder::resident`], [`OffloadBuilder::at`])
-    /// and finish with [`OffloadBuilder::run`]. The builder's error is
-    /// [`OffloadError`], which converts into [`HompError`], so `?`
-    /// works in facade-level code.
+    /// [`OffloadBuilder::at`] for a dispatch instant and finish with
+    /// [`OffloadBuilder::run`]. Transfers of data an open
+    /// [`Homp::data_region`] holds on-device are elided. The builder's
+    /// error is [`OffloadError`], which converts into [`HompError`], so
+    /// `?` works in facade-level code.
     pub fn offload<'r, 'k>(
         &'r mut self,
         region: &'r OffloadRegion,
         kernel: &'k mut dyn LoopKernel,
     ) -> OffloadBuilder<'r, 'k> {
         self.runtime.offload(region, kernel)
-    }
-
-    /// Run with resident data (inside a `target data` region).
-    #[deprecated(note = "use `offload(region, kernel).resident().run()`")]
-    pub fn offload_resident(
-        &mut self,
-        region: &OffloadRegion,
-        kernel: &mut dyn LoopKernel,
-    ) -> Result<OffloadReport, HompError> {
-        Ok(self.runtime.offload_inner(region, kernel, true, SimTime::ZERO, true)?)
     }
 
     /// Run a [`Pipeline`] of offload stages (see
@@ -326,8 +317,10 @@ impl DataRegion<'_> {
         homp.runtime.offload(spec, kernel)
     }
 
-    /// Run a [`Pipeline`] inside this data environment (see
-    /// [`Runtime::offload_pipeline`]).
+    /// Run a [`Pipeline`] while this data environment is open (see
+    /// [`Runtime::offload_pipeline`]). Only a barrier pipeline's stages
+    /// elide resident data; the overlapped executor does not read the
+    /// environment and pays full transfers.
     pub fn offload_pipeline(
         &mut self,
         pipeline: &Pipeline,
@@ -443,30 +436,6 @@ mod more_tests {
             data_elems_per_iter: 3.0,
             elem_bytes: 8.0,
         }
-    }
-
-    #[test]
-    fn resident_offload_through_facade() {
-        let mut homp = Homp::noiseless(Machine::four_k40());
-        let mut env = Env::new();
-        env.insert("n".into(), 10_000);
-        let region = homp
-            .compile_source(
-                &[
-                    "#pragma omp parallel target data device(*) \
-                     map(to: big[0:n*64]) \
-                     map(tofrom: y[0:n] partition([ALIGN(loop)]))",
-                    "#pragma omp parallel for distribute dist_schedule(target:[BLOCK])",
-                ],
-                &env,
-                crate::compile::CompileOptions::for_loop("resident", 10_000),
-            )
-            .unwrap();
-        let mut k1 = FnKernel::new(intensity(), |_r: Range| {});
-        let cold = homp.offload(&region, &mut k1).run().unwrap().makespan;
-        let mut k2 = FnKernel::new(intensity(), |_r: Range| {});
-        let warm = homp.offload(&region, &mut k2).resident().run().unwrap().makespan;
-        assert!(warm < cold, "resident {warm} !< cold {cold}");
     }
 
     #[test]

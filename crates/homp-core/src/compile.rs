@@ -103,15 +103,6 @@ impl CompileOptions {
         }
     }
 
-    /// Options with defaults for everything but the name and trip count.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use CompileOptions::for_kernel(&spec) or CompileOptions::for_loop(name, trip)"
-    )]
-    pub fn new(kernel_name: impl Into<String>, trip_count: u64) -> Self {
-        Self::for_loop(kernel_name, trip_count)
-    }
-
     /// Override the loop label.
     pub fn with_loop_label(mut self, label: impl Into<String>) -> Self {
         self.loop_label = label.into();
@@ -595,18 +586,6 @@ mod tests {
         assert_eq!(opts.intensity().unwrap().flops_per_iter, 2.0);
         // Anonymous loops carry no intensity.
         assert!(CompileOptions::for_loop("k", 10).intensity().is_none());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_new_still_lowers() {
-        let d = parse_directive(
-            "#pragma omp target device(*) map(to: x[0:n] partition([ALIGN(loop)]))",
-        )
-        .unwrap();
-        let region =
-            compile(&[&d], &env_n(100), FULL, &CompileOptions::new("k", 100)).unwrap();
-        assert_eq!(region.trip_count, 100);
     }
 
     #[test]

@@ -303,7 +303,7 @@ pub struct OffloadReport {
     /// Absolute virtual instant of the end barrier. Equals `makespan`
     /// past time zero for the classic entry points; later when the
     /// region was dispatched onto busy calendars via
-    /// [`Runtime::offload_at`] (the service layer's request-latency
+    /// [`OffloadBuilder::at`] (the service layer's request-latency
     /// clock reads this).
     pub completed_at: SimTime,
     /// Participating devices, in slot order.
@@ -525,7 +525,7 @@ pub struct Runtime {
     /// Virtual instant the current offload was dispatched at. Zero for
     /// the classic one-region-at-a-time entry points; a later instant
     /// when a service layer dispatches a region onto already-busy
-    /// calendars via [`Runtime::offload_at`]. Every scheduler path
+    /// calendars via [`OffloadBuilder::at`]. Every scheduler path
     /// anchors its first ops here, and [`OffloadReport::makespan`] is
     /// measured from it.
     dispatch_base: SimTime,
@@ -1099,13 +1099,12 @@ impl Runtime {
                 &plan_counts,
                 &slots,
                 &mut base_ready,
-                false,
                 region.algorithm,
                 Some(&plan),
                 pred,
             )?
         } else {
-            self.offload_inner(region, kernel, false, SimTime::ZERO, true)?
+            self.offload_inner(region, kernel, None)?
         };
         // Learn from what just happened. A device processing a stream of
         // chunks is a pipeline of three resources (upload, compute,
@@ -1126,12 +1125,12 @@ impl Runtime {
     /// Offload a region: the single entry point for every variant.
     ///
     /// Returns an [`OffloadBuilder`] — call [`OffloadBuilder::run`] to
-    /// execute. The default run maps all data and resets the engine
-    /// (the classic one-region-at-a-time semantics); chain
-    /// [`OffloadBuilder::resident`] to skip fixed transfers already
-    /// mapped by a `target data` region, and [`OffloadBuilder::at`] to
-    /// dispatch onto the engine's calendars as they stand (the
-    /// multi-tenant case).
+    /// execute. The default run resets the engine and dispatches at
+    /// zero (the classic one-region-at-a-time semantics); chain
+    /// [`OffloadBuilder::at`] to dispatch onto the engine's calendars
+    /// as they stand (the multi-tenant case). Inside a `target data`
+    /// region ([`Runtime::data_region_begin`]) the run elides the
+    /// transfers of data the region already holds on-device.
     ///
     /// ```
     /// # use homp_core::{Algorithm, FnKernel, OffloadRegion, Runtime};
@@ -1156,60 +1155,16 @@ impl Runtime {
         region: &'r OffloadRegion,
         kernel: &'k mut dyn LoopKernel,
     ) -> OffloadBuilder<'r, 'k> {
-        OffloadBuilder { runtime: self, region, kernel, config: OffloadConfig::default() }
+        OffloadBuilder { runtime: self, region, kernel, at: None }
     }
 
-    /// Offload with `data_resident = true` to skip the fixed (replicated
-    /// / independent) transfers — the `target data` region of Fig. 3 has
-    /// already mapped them.
-    #[deprecated(note = "use `offload(region, kernel).resident().run()`")]
-    pub fn offload_with(
-        &mut self,
-        region: &OffloadRegion,
-        kernel: &mut dyn LoopKernel,
-        data_resident: bool,
-    ) -> Result<OffloadReport, OffloadError> {
-        self.offload_inner(region, kernel, data_resident, SimTime::ZERO, true)
-    }
-
-    /// Dispatch a region onto the engine's calendars *as they stand*, at
-    /// virtual instant `at` — the multi-tenant entry point.
-    ///
-    /// Unlike a plain [`Runtime::offload`]`.run()` this does **not**
-    /// reset the engine: the region's first operations become ready at
-    /// `at` and queue behind whatever earlier regions already occupy
-    /// each resource (every engine op starts at `max(ready,
-    /// resource_free)`), so N in-flight regions genuinely share devices
-    /// on the virtual clock. The report's [`OffloadReport::makespan`]
-    /// is measured from `at` and [`OffloadReport::completed_at`] is the
-    /// absolute end barrier.
-    ///
-    /// Dispatches must be issued in non-decreasing `at` order: resource
-    /// calendars only move forward, so a region dispatched at an
-    /// earlier instant than one already committed cannot back-fill the
-    /// idle time before it.
-    ///
-    /// A single dispatch at `at = SimTime::ZERO` on a fresh (or
-    /// [`Runtime::reset_with_seed`]-rewound) runtime is byte-identical
-    /// to the classic offload — traces, decisions and report included.
-    #[deprecated(note = "use `offload(region, kernel).at(t).run()`")]
-    pub fn offload_at(
-        &mut self,
-        region: &OffloadRegion,
-        kernel: &mut dyn LoopKernel,
-        data_resident: bool,
-        at: SimTime,
-    ) -> Result<OffloadReport, OffloadError> {
-        self.offload_inner(region, kernel, data_resident, at, false)
-    }
-
+    /// Run one offload. `at = None` resets the engine and dispatches at
+    /// zero; `Some(t)` dispatches at `t` on the calendars as they stand.
     pub(crate) fn offload_inner(
         &mut self,
         region: &OffloadRegion,
         kernel: &mut dyn LoopKernel,
-        data_resident: bool,
-        at: SimTime,
-        reset: bool,
+        at: Option<SimTime>,
     ) -> Result<OffloadReport, OffloadError> {
         let slots: &[DeviceId] = &region.devices;
         for &d in slots {
@@ -1243,9 +1198,10 @@ impl Runtime {
             _ => {}
         }
 
-        if reset {
+        let at = at.unwrap_or_else(|| {
             self.engine.reset();
-        }
+            SimTime::ZERO
+        });
         self.decisions.clear();
         self.dispatch_base = at;
 
@@ -1262,8 +1218,7 @@ impl Runtime {
                 let counts = block::block_counts(region.trip_count, n);
                 self.check_capacity(slots, &plan, 0, Some(&counts))?;
                 self.run_static(
-                    region, kernel, &plan, &counts, slots, &mut base_ready, data_resident,
-                    algorithm, None, None,
+                    region, kernel, &plan, &counts, slots, &mut base_ready, algorithm, None, None,
                 )
             }
             Algorithm::Model1 { cutoff } => {
@@ -1273,8 +1228,8 @@ impl Runtime {
                     self.predict_static(PredictionSource::Model1, slots, &intensity, &mp.counts)
                 });
                 self.run_static(
-                    region, kernel, &plan, &mp.counts, slots, &mut base_ready, data_resident,
-                    algorithm, Some(&mp), pred,
+                    region, kernel, &plan, &mp.counts, slots, &mut base_ready, algorithm,
+                    Some(&mp), pred,
                 )
             }
             Algorithm::Model2 { cutoff } => {
@@ -1284,28 +1239,22 @@ impl Runtime {
                     self.predict_static(PredictionSource::Model2, slots, &intensity, &mp.counts)
                 });
                 self.run_static(
-                    region, kernel, &plan, &mp.counts, slots, &mut base_ready, data_resident,
-                    algorithm, Some(&mp), pred,
+                    region, kernel, &plan, &mp.counts, slots, &mut base_ready, algorithm,
+                    Some(&mp), pred,
                 )
             }
             Algorithm::Dynamic { chunk_pct } => {
                 let policy = DynamicChunks::from_pct(region.trip_count, chunk_pct);
-                self.run_chunked(
-                    region, kernel, &plan, &policy, slots, data_resident, algorithm,
-                )
+                self.run_chunked(region, kernel, &plan, &policy, slots, algorithm)
             }
             Algorithm::Guided { chunk_pct } => {
                 let policy = GuidedChunks::from_pct(region.trip_count, chunk_pct);
-                self.run_chunked(
-                    region, kernel, &plan, &policy, slots, data_resident, algorithm,
-                )
+                self.run_chunked(region, kernel, &plan, &policy, slots, algorithm)
             }
             Algorithm::ProfileConst { sample_pct, cutoff } => {
                 let samples = const_sample_counts(region.trip_count, n, sample_pct);
                 self.check_capacity(slots, &plan, region.trip_count / n as u64, None)?;
-                self.run_profiled(
-                    region, kernel, &plan, &samples, cutoff, slots, data_resident, algorithm,
-                )
+                self.run_profiled(region, kernel, &plan, &samples, cutoff, slots, algorithm)
             }
             Algorithm::ProfileModel { sample_pct, cutoff } => {
                 let samples = model_sample_counts(
@@ -1315,9 +1264,7 @@ impl Runtime {
                     sample_pct,
                 );
                 self.check_capacity(slots, &plan, region.trip_count / n as u64, None)?;
-                self.run_profiled(
-                    region, kernel, &plan, &samples, cutoff, slots, data_resident, algorithm,
-                )
+                self.run_profiled(region, kernel, &plan, &samples, cutoff, slots, algorithm)
             }
             Algorithm::WorkAssist { min_assist_pct, cutoff } => {
                 let mp = model2_plan(&slot_params, &intensity, region.trip_count, cutoff);
@@ -1326,8 +1273,8 @@ impl Runtime {
                     self.predict_static(PredictionSource::Model2, slots, &intensity, &mp.counts)
                 });
                 self.run_assisted(
-                    region, kernel, &plan, &mp, slots, &mut base_ready, data_resident,
-                    algorithm, min_assist_pct, pred,
+                    region, kernel, &plan, &mp, slots, &mut base_ready, algorithm,
+                    min_assist_pct, pred,
                 )
             }
             Algorithm::Auto { .. } => unreachable!("AUTO resolved above"),
@@ -1679,7 +1626,6 @@ impl Runtime {
         counts: &[u64],
         slots: &[DeviceId],
         base_ready: &mut [SimTime],
-        data_resident: bool,
         algorithm: Algorithm,
         model: Option<&ModelPlan>,
         pred: Option<Predictions>,
@@ -1689,13 +1635,8 @@ impl Runtime {
         // When a `target data` region covers this offload, the
         // environment rewrites the per-slot transfer bytes: resident
         // data is elided, split changes move only the delta, and
-        // registered copy-backs are deferred to region close. The legacy
-        // `data_resident` flag bypasses the environment entirely.
-        let env = if data_resident {
-            None
-        } else {
-            self.data_env.plan_static(region, plan, counts, slots, &mut self.mem)?
-        };
+        // registered copy-backs are deferred to region close.
+        let env = self.data_env.plan_static(region, plan, counts, slots, &mut self.mem)?;
         let mut completions = vec![self.dispatch_base; n];
         let mut serial_cursor = self.dispatch_base;
         let mut range = Range::new(0, region.trip_count);
@@ -1717,7 +1658,6 @@ impl Runtime {
             chunks += 1;
             let h2d_bytes = match &env {
                 Some(t) => t.h2d[s],
-                None if data_resident => plan.h2d_chunk_bytes(my.len()),
                 None => plan.h2d_bytes(s, my.len()),
             };
             let d2h_bytes = match &env {
@@ -1814,7 +1754,6 @@ impl Runtime {
         mp: &ModelPlan,
         slots: &[DeviceId],
         base_ready: &mut [SimTime],
-        data_resident: bool,
         algorithm: Algorithm,
         min_assist_pct: f64,
         pred: Option<Predictions>,
@@ -1826,8 +1765,7 @@ impl Runtime {
         let snap_mem = self.mem.clone();
         let snap_base: Vec<SimTime> = base_ready.to_vec();
         let probe = self.assist_event_loop(
-            region, kernel, plan, mp, slots, base_ready, data_resident, &policy,
-            pred.as_ref(), false,
+            region, kernel, plan, mp, slots, base_ready, &policy, pred.as_ref(), false,
         );
         self.engine = snap_engine;
         self.data_env = snap_env;
@@ -1836,13 +1774,11 @@ impl Runtime {
 
         if !probe?.fired {
             return self.run_static(
-                region, kernel, plan, &mp.counts, slots, base_ready, data_resident,
-                algorithm, Some(mp), pred,
+                region, kernel, plan, &mp.counts, slots, base_ready, algorithm, Some(mp), pred,
             );
         }
         let mut st = self.assist_event_loop(
-            region, kernel, plan, mp, slots, base_ready, data_resident, &policy,
-            pred.as_ref(), true,
+            region, kernel, plan, mp, slots, base_ready, &policy, pred.as_ref(), true,
         )?;
         self.recover(
             region,
@@ -1896,18 +1832,13 @@ impl Runtime {
         mp: &ModelPlan,
         slots: &[DeviceId],
         base_ready: &mut [SimTime],
-        data_resident: bool,
         policy: &StealPolicy,
         pred: Option<&Predictions>,
         commit: bool,
     ) -> Result<AssistState, OffloadError> {
         let intensity = kernel.intensity();
         let n = slots.len();
-        let env = if data_resident {
-            None
-        } else {
-            self.data_env.plan_static(region, plan, &mp.counts, slots, &mut self.mem)?
-        };
+        let env = self.data_env.plan_static(region, plan, &mp.counts, slots, &mut self.mem)?;
         let overhead = SimSpan::from_micros(self.faults.requeue_overhead_us);
         let mut st = AssistState::new(n);
 
@@ -1927,7 +1858,6 @@ impl Runtime {
             }
             let h2d_bytes = match &env {
                 Some(t) => t.h2d[s],
-                None if data_resident => plan.h2d_chunk_bytes(my.len()),
                 None => plan.h2d_bytes(s, my.len()),
             };
             let setup = self
@@ -2239,7 +2169,6 @@ impl Runtime {
         plan: &DataPlan,
         policy: &dyn ChunkPolicy,
         slots: &[DeviceId],
-        data_resident: bool,
         algorithm: Algorithm,
     ) -> Result<OffloadReport, OffloadError> {
         let intensity = kernel.intensity();
@@ -2247,11 +2176,7 @@ impl Runtime {
         // Inside a `target data` region, chunked schedules elide only the
         // *fixed* mappings (replicated / independent / scalars) — aligned
         // data streams per chunk with no stable ownership to reuse.
-        let env = if data_resident {
-            None
-        } else {
-            self.data_env.plan_fixed(region, plan, slots, &mut self.mem)?
-        };
+        let env = self.data_env.plan_fixed(region, plan, slots, &mut self.mem)?;
         let base = self.dispatch_base;
         let mut queue = ChunkQueue::new(region.trip_count, n);
         let mut counts = vec![0u64; n];
@@ -2282,8 +2207,8 @@ impl Runtime {
         // order by Reverse.
         let mut heap: BinaryHeap<std::cmp::Reverse<(SimTime, usize)>> = BinaryHeap::new();
 
-        // Fixed transfers first (unless the data region already mapped
-        // them), serialized per the non-parallel option. A device that
+        // Fixed transfers first (residency-adjusted inside a data
+        // region), serialized per the non-parallel option. A device that
         // faults out of its setup never enters the chunk race.
         let mut serial_cursor = base;
         for (s, &dev) in slots.iter().enumerate() {
@@ -2292,22 +2217,9 @@ impl Runtime {
                 Some(t) => t.h2d[s],
                 None => plan.h2d_fixed_bytes(s),
             };
-            let ready = self.fault_launch(dev, base, &region.name, &mut summary).and_then(
-                |launched| {
-                    if data_resident {
-                        Ok(launched)
-                    } else {
-                        self.fault_transfer(
-                            dev,
-                            fixed_in,
-                            Dir::H2D,
-                            launched,
-                            "map-in-fixed",
-                            &mut summary,
-                        )
-                    }
-                },
-            );
+            let ready = self.fault_launch(dev, base, &region.name, &mut summary).and_then(|t| {
+                self.fault_transfer(dev, fixed_in, Dir::H2D, t, "map-in-fixed", &mut summary)
+            });
             match ready {
                 Ok(ready) => {
                     if !region.parallel_offload {
@@ -2536,30 +2448,28 @@ impl Runtime {
         }
 
         // Final fixed out-transfers (replicated/independent `from` data).
-        if !data_resident {
-            for (s, &dev) in slots.iter().enumerate() {
-                if quarantined[s] {
-                    continue;
-                }
-                let b = match &env {
-                    Some(t) => t.d2h[s],
-                    None => plan.d2h_fixed_bytes(s),
-                };
-                if b > 0 {
-                    match self.fault_transfer(
-                        dev,
-                        b,
-                        Dir::D2H,
-                        completions[s],
-                        "map-out-fixed",
-                        &mut summary,
-                    ) {
-                        Ok(t) => completions[s] = t,
-                        Err(f) => {
-                            quarantined[s] = true;
-                            summary.dropouts.push(dev);
-                            completions[s] = f.at;
-                        }
+        for (s, &dev) in slots.iter().enumerate() {
+            if quarantined[s] {
+                continue;
+            }
+            let b = match &env {
+                Some(t) => t.d2h[s],
+                None => plan.d2h_fixed_bytes(s),
+            };
+            if b > 0 {
+                match self.fault_transfer(
+                    dev,
+                    b,
+                    Dir::D2H,
+                    completions[s],
+                    "map-out-fixed",
+                    &mut summary,
+                ) {
+                    Ok(t) => completions[s] = t,
+                    Err(f) => {
+                        quarantined[s] = true;
+                        summary.dropouts.push(dev);
+                        completions[s] = f.at;
                     }
                 }
             }
@@ -2589,18 +2499,13 @@ impl Runtime {
         samples: &[u64],
         cutoff: Option<f64>,
         slots: &[DeviceId],
-        data_resident: bool,
         algorithm: Algorithm,
     ) -> Result<OffloadReport, OffloadError> {
         let intensity = kernel.intensity();
         let n = slots.len();
         // Same contract as `run_chunked`: inside a data region only the
         // fixed mappings elide; the sampled/stage-2 aligned data streams.
-        let env = if data_resident {
-            None
-        } else {
-            self.data_env.plan_fixed(region, plan, slots, &mut self.mem)?
-        };
+        let env = self.data_env.plan_fixed(region, plan, slots, &mut self.mem)?;
         let dispatch_base = self.dispatch_base;
         let mut range = Range::new(0, region.trip_count);
         let mut counts = vec![0u64; n];
@@ -2621,7 +2526,6 @@ impl Runtime {
             let base = if region.parallel_offload { dispatch_base } else { serial_cursor };
             let fixed = match &env {
                 Some(t) => t.h2d[s],
-                None if data_resident => 0,
                 None => plan.h2d_fixed_bytes(s),
             };
             match self.sample_pipeline(
@@ -2688,7 +2592,6 @@ impl Runtime {
             let d2h_total = plan.d2h_chunk_bytes(counts[s] + my.len())
                 + match &env {
                     Some(t) => t.d2h[s],
-                    None if data_resident => 0,
                     None => plan.d2h_fixed_bytes(s),
                 };
             if quarantined[s] {
@@ -2809,6 +2712,12 @@ impl Runtime {
     /// transfer for them, a chunk elsewhere re-imports the overlapping
     /// producer slabs at H2D cost, and `from`-mapped intermediates are
     /// flushed to the host once the pipeline drains.
+    ///
+    /// The overlapped executor does not read an enclosing `target data`
+    /// region ([`Runtime::data_region_begin`]): inside one, every
+    /// non-linked array still pays its full per-chunk transfers. Only
+    /// the barrier path, which runs each stage as a classic offload,
+    /// elides data the region holds.
     pub fn offload_pipeline(
         &mut self,
         pipeline: &Pipeline,
@@ -2832,13 +2741,7 @@ impl Runtime {
         let mut stages = Vec::with_capacity(pipeline.stages.len());
         for (i, region) in pipeline.stages.iter().enumerate() {
             let mut stage_kernel = StageKernel { inner: kernel, stage: i };
-            stages.push(self.offload_inner(
-                region,
-                &mut stage_kernel,
-                false,
-                SimTime::ZERO,
-                true,
-            )?);
+            stages.push(self.offload_inner(region, &mut stage_kernel, None)?);
         }
         let barrier_sum = stages.iter().fold(SimSpan::ZERO, |acc, s| acc + s.makespan);
         // Boundary idle: from the producer's last kernel completion,
@@ -2929,6 +2832,14 @@ impl Runtime {
                 .collect();
             deps.push(stage_deps);
         }
+        let no_links: &[StageLink] = &[];
+        let bytes: Vec<StageBytes> = (0..n_stages)
+            .map(|s| {
+                let linked_in = if s > 0 { &links[s - 1] } else { no_links };
+                let linked_out = links.get(s).map_or(no_links, Vec::as_slice);
+                StageBytes::new(&plans[s], linked_in, linked_out)
+            })
+            .collect();
 
         // ---- execution state -----------------------------------------
         self.engine.reset();
@@ -2977,16 +2888,6 @@ impl Runtime {
             let (home_slot, range) = chunk_lists[s][c];
             let region = &pipeline.stages[s];
             let intensity = kernel.intensity(s);
-            let in_exclude: Vec<&str> = if s > 0 {
-                links[s - 1].iter().map(|l| l.array.as_str()).collect()
-            } else {
-                Vec::new()
-            };
-            let out_exclude: Vec<&str> = if s + 1 < n_stages {
-                links[s].iter().map(|l| l.array.as_str()).collect()
-            } else {
-                Vec::new()
-            };
 
             // Execution slot: the home slot, else the next healthy slot
             // of this stage (deterministic round-robin); host fallback
@@ -3018,9 +2919,7 @@ impl Runtime {
             // remote-producer slab imports for linked inputs, plus the
             // slot's fixed (replicated/independent/scalar) bytes on its
             // first chunk.
-            let mut h2d = (h2d_per_iter_excluding(&plans[s], &in_exclude)
-                * range.len() as f64)
-                .round() as u64;
+            let mut h2d = (bytes[s].h2d_per_iter * range.len() as f64).round() as u64;
             if s > 0 {
                 let prev = &pipeline.stages[s - 1];
                 for l in &links[s - 1] {
@@ -3040,13 +2939,11 @@ impl Runtime {
                 }
             }
             if !fixed_sent[s][exec_slot] {
-                h2d += fixed_h2d_excluding(&plans[s], exec_slot, &in_exclude);
+                h2d += bytes[s].fixed_h2d[exec_slot];
             }
             // D2H: only non-linked outputs inline; linked intermediates
             // stay resident and flush when the pipeline drains.
-            let d2h = (d2h_per_iter_excluding(&plans[s], &out_exclude)
-                * range.len() as f64)
-                .round() as u64;
+            let d2h = (bytes[s].d2h_per_iter * range.len() as f64).round() as u64;
 
             let mut summary = std::mem::take(&mut summaries[s]);
             let outcome = self.chunk_pipeline(
@@ -3112,34 +3009,20 @@ impl Runtime {
         // path.
         let mut flush_spans: Vec<SimSpan> = vec![SimSpan::ZERO; n_stages];
         for (s, region) in pipeline.stages.iter().enumerate() {
-            let out_exclude: Vec<&str> = if s + 1 < n_stages {
-                links[s].iter().map(|l| l.array.as_str()).collect()
-            } else {
-                Vec::new()
-            };
-            let deferred_per_iter: f64 = plans[s]
-                .per_array()
-                .iter()
-                .filter(|a| a.copies_out && out_exclude.contains(&a.name.as_str()))
-                .map(|a| match &a.kind {
-                    ArrayCostKind::LoopAligned { bytes_per_iter } => *bytes_per_iter,
-                    _ => 0.0,
-                })
-                .sum();
             for (slot, &dev) in region.devices.iter().enumerate() {
                 if quarantined[dev as usize] || exec_counts[s][slot] == 0 {
                     continue;
                 }
-                let bytes = (deferred_per_iter * exec_counts[s][slot] as f64).round() as u64
+                let b = (bytes[s].deferred_per_iter * exec_counts[s][slot] as f64).round() as u64
                     + plans[s].d2h_fixed_bytes(slot);
-                if bytes > 0 {
-                    let span = self.engine.pure_transfer_span(dev, bytes);
+                if b > 0 {
+                    let span = self.engine.pure_transfer_span(dev, b);
                     if span.as_secs() > flush_spans[s].as_secs() {
                         flush_spans[s] = span;
                     }
                     let end = self.engine.transfer(
                         dev,
-                        bytes,
+                        b,
                         Dir::D2H,
                         dev_last[dev as usize],
                         "pipe-flush",
@@ -3243,68 +3126,45 @@ impl Runtime {
     }
 }
 
-/// Options an [`OffloadBuilder`] resolves at [`OffloadBuilder::run`].
-/// Useful when a caller computes the variant once and applies it to many
-/// offloads via [`OffloadBuilder::config`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct OffloadConfig {
-    /// Skip the fixed (replicated / independent) transfers — a `target
-    /// data` region has already mapped them.
-    pub resident: bool,
-    /// Dispatch instant on the engine's un-reset calendars; `None` is
-    /// the classic reset-at-zero offload.
-    pub at: Option<SimTime>,
-}
-
 /// The unified offload entry point, returned by
 /// [`Runtime::offload`]: chain options, then [`OffloadBuilder::run`].
 ///
 /// | call chain | semantics |
 /// |---|---|
-/// | `.run()` | classic offload: reset engine, map all data |
-/// | `.resident().run()` | skip fixed transfers (`target data` mapped them) |
+/// | `.run()` | classic offload: reset engine, dispatch at zero |
 /// | `.at(t).run()` | dispatch at instant `t` on un-reset calendars |
+///
+/// Either form elides the transfers of data an enclosing `target data`
+/// region already holds on-device ([`Runtime::data_region_begin`]).
 #[must_use = "an OffloadBuilder does nothing until .run()"]
 pub struct OffloadBuilder<'r, 'k> {
     runtime: &'r mut Runtime,
     region: &'r OffloadRegion,
     kernel: &'k mut dyn LoopKernel,
-    config: OffloadConfig,
+    at: Option<SimTime>,
 }
 
 impl OffloadBuilder<'_, '_> {
-    /// Mark the region's fixed data as already device-resident (mapped
-    /// by an enclosing `target data` region): the run skips the
-    /// replicated / independent / scalar transfers.
-    pub fn resident(mut self) -> Self {
-        self.config.resident = true;
-        self
-    }
-
     /// Dispatch at virtual instant `at` on the engine's calendars *as
-    /// they stand* (no reset) — the multi-tenant path. Dispatches must
-    /// be issued in non-decreasing `at` order; `at(SimTime::ZERO)` on a
-    /// fresh runtime is byte-identical to the classic offload.
+    /// they stand* (no reset) — the multi-tenant path. The region's
+    /// first operations become ready at `at` and queue behind whatever
+    /// earlier regions already occupy each resource, so in-flight
+    /// regions share devices on the virtual clock. The report's
+    /// [`OffloadReport::makespan`] is measured from `at` and
+    /// [`OffloadReport::completed_at`] is the absolute end barrier.
+    ///
+    /// Dispatches must be issued in non-decreasing `at` order: resource
+    /// calendars only move forward. `at(SimTime::ZERO)` on a fresh (or
+    /// [`Runtime::reset_with_seed`]-rewound) runtime is byte-identical
+    /// to the classic offload — traces, decisions and report included.
     pub fn at(mut self, at: SimTime) -> Self {
-        self.config.at = Some(at);
-        self
-    }
-
-    /// Replace the accumulated options wholesale.
-    pub fn config(mut self, config: OffloadConfig) -> Self {
-        self.config = config;
+        self.at = Some(at);
         self
     }
 
     /// Execute the offload.
     pub fn run(self) -> Result<OffloadReport, OffloadError> {
-        let OffloadBuilder { runtime, region, kernel, config } = self;
-        match config.at {
-            Some(at) => runtime.offload_inner(region, kernel, config.resident, at, false),
-            None => {
-                runtime.offload_inner(region, kernel, config.resident, SimTime::ZERO, true)
-            }
-        }
+        self.runtime.offload_inner(self.region, self.kernel, self.at)
     }
 }
 
@@ -3357,47 +3217,55 @@ fn release_dependents(
     }
 }
 
-/// Per-iteration H2D bytes of the plan's loop-aligned `to`/`tofrom`
-/// arrays, excluding pipeline-resident (linked) ones.
-fn h2d_per_iter_excluding(plan: &DataPlan, exclude: &[&str]) -> f64 {
-    plan.per_array()
-        .iter()
-        .filter(|a| a.copies_in && !exclude.contains(&a.name.as_str()))
-        .map(|a| match &a.kind {
-            ArrayCostKind::LoopAligned { bytes_per_iter } => *bytes_per_iter,
-            _ => 0.0,
-        })
-        .sum()
+/// A pipeline stage's transfer bytes, split once by whether each array
+/// is a linked intermediate (device-resident between stages). Sums run
+/// in [`DataPlan::per_array`] order.
+struct StageBytes {
+    /// Loop-aligned H2D bytes per iteration, linked inputs excluded.
+    h2d_per_iter: f64,
+    /// Loop-aligned D2H bytes per iteration, linked outputs excluded.
+    d2h_per_iter: f64,
+    /// Loop-aligned D2H bytes per iteration of linked outputs, deferred
+    /// to the flush once the pipeline drains.
+    deferred_per_iter: f64,
+    /// Fixed (scalar + replicated + independent) H2D bytes per slot,
+    /// linked inputs excluded.
+    fixed_h2d: Vec<u64>,
 }
 
-/// Per-iteration D2H bytes of the plan's loop-aligned `from`/`tofrom`
-/// arrays, excluding pipeline-deferred (linked) ones.
-fn d2h_per_iter_excluding(plan: &DataPlan, exclude: &[&str]) -> f64 {
-    plan.per_array()
-        .iter()
-        .filter(|a| a.copies_out && !exclude.contains(&a.name.as_str()))
-        .map(|a| match &a.kind {
-            ArrayCostKind::LoopAligned { bytes_per_iter } => *bytes_per_iter,
-            _ => 0.0,
-        })
-        .sum()
-}
-
-/// Fixed (replicated + independent + scalar) H2D bytes of `slot`,
-/// excluding pipeline-resident (linked) arrays.
-fn fixed_h2d_excluding(plan: &DataPlan, slot: usize, exclude: &[&str]) -> u64 {
-    let mut bytes = plan.scalar_bytes();
-    for a in plan.per_array() {
-        if !a.copies_in || exclude.contains(&a.name.as_str()) {
-            continue;
+impl StageBytes {
+    fn new(plan: &DataPlan, linked_in: &[StageLink], linked_out: &[StageLink]) -> Self {
+        let mut b = StageBytes {
+            h2d_per_iter: 0.0,
+            d2h_per_iter: 0.0,
+            deferred_per_iter: 0.0,
+            fixed_h2d: vec![plan.scalar_bytes(); plan.n_devices()],
+        };
+        for a in plan.per_array() {
+            let linked = |ls: &[StageLink]| ls.iter().any(|l| l.array == a.name);
+            let copies_in = a.copies_in && !linked(linked_in);
+            match &a.kind {
+                ArrayCostKind::LoopAligned { bytes_per_iter } => {
+                    if copies_in {
+                        b.h2d_per_iter += bytes_per_iter;
+                    }
+                    if a.copies_out && linked(linked_out) {
+                        b.deferred_per_iter += bytes_per_iter;
+                    } else if a.copies_out {
+                        b.d2h_per_iter += bytes_per_iter;
+                    }
+                }
+                ArrayCostKind::Replicated if copies_in => {
+                    b.fixed_h2d.iter_mut().for_each(|f| *f += a.total_bytes);
+                }
+                ArrayCostKind::Independent { per_slot } if copies_in => {
+                    b.fixed_h2d.iter_mut().zip(per_slot).for_each(|(f, p)| *f += p);
+                }
+                _ => {}
+            }
         }
-        match &a.kind {
-            ArrayCostKind::Replicated => bytes += a.total_bytes,
-            ArrayCostKind::Independent { per_slot } => bytes += per_slot[slot],
-            ArrayCostKind::LoopAligned { .. } => {}
-        }
+        b
     }
-    bytes
 }
 
 #[cfg(test)]
@@ -3648,27 +3516,36 @@ mod tests {
     }
 
     #[test]
-    fn resident_data_skips_fixed_transfers() {
+    fn data_region_elides_fixed_transfers_on_every_path() {
         let n = 10_000u64;
-        let region = OffloadRegion::builder("mv")
-            .trip_count(n)
-            .devices(vec![0, 1, 2, 3])
-            .algorithm(Algorithm::Block)
-            // A large replicated array dominates the fixed transfer cost.
-            .map_1d("x", MapDir::To, n * 64, 8, DistPolicy::Full)
-            .map_1d(
-                "y",
-                MapDir::ToFrom,
-                n,
-                8,
-                DistPolicy::Align { target: "loop".into(), ratio: 1 },
-            )
-            .build();
-        let mut rt = Runtime::noiseless(Machine::four_k40());
-        let mut kernel = FnKernel::new(axpy_intensity(), |_r| {});
-        let cold = rt.offload(&region, &mut kernel).run().unwrap().makespan;
-        let warm = rt.offload(&region, &mut kernel).resident().run().unwrap().makespan;
-        assert!(warm.as_secs() < cold.as_secs());
+        let replicated = n * 64 * 8;
+        for algorithm in Algorithm::extended_suite() {
+            let region = OffloadRegion::builder("mv")
+                .trip_count(n)
+                .devices(vec![0, 1, 2, 3])
+                .algorithm(algorithm)
+                // A large replicated array dominates the fixed transfer cost.
+                .map_1d("x", MapDir::To, n * 64, 8, DistPolicy::Full)
+                .map_1d(
+                    "y",
+                    MapDir::ToFrom,
+                    n,
+                    8,
+                    DistPolicy::Align { target: "loop".into(), ratio: 1 },
+                )
+                .build();
+            let mut rt = Runtime::noiseless(Machine::four_k40());
+            let mut kernel = FnKernel::new(axpy_intensity(), |_r| {});
+            let cold = rt.offload(&region, &mut kernel).run().unwrap().makespan;
+            rt.data_region_begin(&region);
+            rt.offload(&region, &mut kernel).run().unwrap();
+            let elided = rt.transfer_stats().h2d_elided_bytes;
+            let warm = rt.offload(&region, &mut kernel).run().unwrap().makespan;
+            let grown = rt.transfer_stats().h2d_elided_bytes - elided;
+            rt.data_region_end().unwrap();
+            assert!(warm.as_secs() < cold.as_secs(), "{algorithm:?}: warm {warm} !< cold {cold}");
+            assert!(grown >= replicated * 4, "{algorithm:?}: elided {grown} B");
+        }
     }
 
     #[test]

@@ -140,10 +140,12 @@ fn main() {
         (1.0 - overlapped.makespan.as_secs() / barrier.makespan.as_secs()) * 100.0
     );
 
-    // The same pipeline inside a `target data` environment: the region
-    // keeps `grid` mapped across both stages; the pipeline already
-    // flushed its own intermediates at drain, so close has nothing
-    // left to copy back.
+    // The same pipeline inside a `target data` environment. The
+    // overlapped executor does not consult the enclosing region yet, so
+    // `grid` and `smooth` pay their full per-chunk transfers and the
+    // makespan equals the plain nowait run above. Nothing inside the
+    // region marked an entry dirty (the pipeline flushed its own
+    // intermediates at drain), so close has nothing to copy back.
     let (stencil, sum) = stages(&mut homp, n, true);
     let pipe = Pipeline::builder("stencil-sum")
         .then(stencil)
